@@ -297,28 +297,34 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
     make_hub ~ring_capacity ~emit_trace ~emit_catapult ()
   in
   let record_trace = trace || timeline in
-  let coverage = ref None in
+  let pack build = Model.pack ~n:(H.n h) ~requested:(engine = `Packed) build in
+  let path = ref ("", "") in
+  let note (pk : _ Model.packing) =
+    path := (pk.Model.path, pk.Model.reason);
+    Option.iter
+      (fun hub ->
+        Tele.Hub.emit hub (Tele.Event.Engine { path = pk.Model.path; reason = pk.Model.reason }))
+      telemetry;
+    pk.Model.hooks
+  in
   let r =
     (* the runner records cannot carry the typed [?packed] hooks, so the
-       paper algorithms dispatch through their typed driver instances when
-       the packed engine is requested *)
-    match (engine, algo_name) with
-    | `Packed, "cc1" ->
-      let pk = Pk_cc1.build ~cap:cli_pack_cap h in
-      coverage := Some (Pk_cc1.coverage pk);
-      X.Run_cc1.run ~seed ~init ?faults ?telemetry ~record_trace
-        ~packed:(Pk_cc1.hooks pk) ~daemon ~workload ~steps h
-    | `Packed, "cc2" ->
-      let pk = Pk_cc2.build ~cap:cli_pack_cap h in
-      coverage := Some (Pk_cc2.coverage pk);
-      X.Run_cc2.run ~seed ~init ?faults ?telemetry ~record_trace
-        ~packed:(Pk_cc2.hooks pk) ~daemon ~workload ~steps h
-    | `Packed, "cc3" ->
-      let pk = Pk_cc3.build ~cap:cli_pack_cap h in
-      coverage := Some (Pk_cc3.coverage pk);
-      X.Run_cc3.run ~seed ~init ?faults ?telemetry ~record_trace
-        ~packed:(Pk_cc3.hooks pk) ~daemon ~workload ~steps h
+       paper algorithms dispatch through their typed driver instances *)
+    match algo_name with
+    | "cc1" ->
+      let packed = note (pack (fun () -> Pk_cc1.hooks (Pk_cc1.build ~cap:cli_pack_cap h))) in
+      X.Run_cc1.run ~seed ~init ?faults ?telemetry ~record_trace ?packed ~daemon
+        ~workload ~steps h
+    | "cc2" ->
+      let packed = note (pack (fun () -> Pk_cc2.hooks (Pk_cc2.build ~cap:cli_pack_cap h))) in
+      X.Run_cc2.run ~seed ~init ?faults ?telemetry ~record_trace ?packed ~daemon
+        ~workload ~steps h
+    | "cc3" ->
+      let packed = note (pack (fun () -> Pk_cc3.hooks (Pk_cc3.build ~cap:cli_pack_cap h))) in
+      X.Run_cc3.run ~seed ~init ?faults ?telemetry ~record_trace ?packed ~daemon
+        ~workload ~steps h
     | _ ->
+      ignore (note (pack (fun () -> failwith (algo_name ^ " has no packed tables"))));
       runner.X.run ~seed ~init ?faults ?telemetry ~record_trace ~daemon
         ~workload ~steps h
   in
@@ -326,10 +332,7 @@ let run_cmd topo algo_name daemon_name workload_name steps seed disc random_init
    | Some file, Some rg -> write_json file (ring_summary rg)
    | _ -> ());
   finish_telemetry ();
-  (match !coverage with
-   | Some c ->
-     Format.printf "engine: packed (tables cover %.0f%% of processes)@." (100. *. c)
-   | None -> ());
+  Format.printf "engine: %s (%s)@." (fst !path) (snd !path);
   Format.printf "%a@." Driver.pp_result r;
   if r.Driver.violations <> [] then begin
     Format.printf "@.violations:@.";
@@ -370,13 +373,15 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
   let module Run (A : Snapcc_runtime.Model.ALGO) = struct
     module E = Snapcc_mp.Mp_engine.Make (A)
 
-    let go packed =
+    let go (pk : A.state Model.packing) =
       let eng =
         E.create ~seed
           ~init:(if random_init then `Random else `Canonical)
-          ~deliver_bias:bias ~vclock:(not no_vclock) ?telemetry ?packed h
+          ~deliver_bias:bias ~vclock:(not no_vclock) ?telemetry
+          ?packed:pk.Model.hooks h
       in
       let spec = Spec.create ?telemetry h ~initial:(E.obs eng) in
+      emit (Tele.Event.Engine { path = pk.Model.path; reason = pk.Model.reason });
       emit
         (Tele.Event.Run_start
            { algo = A.name; daemon = "mp-scheduler";
@@ -403,9 +408,10 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
        | Some file, Some rg -> write_json file (ring_summary rg)
        | _ -> ());
       finish_telemetry ();
-      (match E.engine_kind eng with
-       | `Packed -> Format.printf "engine: packed@."
-       | `Closure -> ());
+      Format.printf "engine: %s (%s%s)@." pk.Model.path pk.Model.reason
+        (if pk.Model.hooks <> None && E.engine_kind eng = `Closure then
+           "; dropped to closures: interner overflow"
+         else "");
       Format.printf
         "%s over message passing: %d steps, %d meetings, %d violations@."
         A.name steps
@@ -420,20 +426,18 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
         (Spec.violations spec);
       Format.printf "@.final configuration:@.%a@." (Obs.pp_snapshot h) (E.obs eng)
   end in
-  match (algo_name, engine) with
-  | "cc1", `Packed ->
+  let pack build = Model.pack ~n:(H.n h) ~requested:(engine = `Packed) build in
+  match algo_name with
+  | "cc1" ->
     let module R = Run (X.Cc1) in
-    R.go (Some (Pk_cc1.hooks (Pk_cc1.build ~cap:cli_pack_cap h)))
-  | "cc2", `Packed ->
+    R.go (pack (fun () -> Pk_cc1.hooks (Pk_cc1.build ~cap:cli_pack_cap h)))
+  | "cc2" ->
     let module R = Run (X.Cc2) in
-    R.go (Some (Pk_cc2.hooks (Pk_cc2.build ~cap:cli_pack_cap h)))
-  | "cc3", `Packed ->
+    R.go (pack (fun () -> Pk_cc2.hooks (Pk_cc2.build ~cap:cli_pack_cap h)))
+  | "cc3" ->
     let module R = Run (X.Cc3) in
-    R.go (Some (Pk_cc3.hooks (Pk_cc3.build ~cap:cli_pack_cap h)))
-  | "cc1", `Closure -> let module R = Run (X.Cc1) in R.go None
-  | "cc2", `Closure -> let module R = Run (X.Cc2) in R.go None
-  | "cc3", `Closure -> let module R = Run (X.Cc3) in R.go None
-  | a, _ -> or_die (Error (Printf.sprintf "mp supports cc1|cc2|cc3, not %S" a))
+    R.go (pack (fun () -> Pk_cc3.hooks (Pk_cc3.build ~cap:cli_pack_cap h)))
+  | a -> or_die (Error (Printf.sprintf "mp supports cc1|cc2|cc3, not %S" a))
 
 (* validated argument converters, shared by `ccsim mp' and `ccsim net' *)
 

@@ -3,7 +3,7 @@ module H = Snapcc_hypergraph.Hypergraph
 module Make (A : Model.ALGO) = struct
   type t = {
     h : H.t;
-    mutable states : A.state array;
+    states : A.state array;  (* updated in place, after all statements ran *)
     actions : A.state Model.action array;  (* index = code order; last = top priority *)
     daemon : Daemon.t;
     rng : Random.State.t;
@@ -15,17 +15,26 @@ module Make (A : Model.ALGO) = struct
            or neutralize; [None] until the first step establishes it *)
     cont_enabled : int array;
     (* table-driven fast path: [ids] mirrors [states] as dense domain ids
-       (of the canonicalized states) while [packed] is live; [pk_act] /
-       [pk_succ] are per-step scratch ([pk_succ.(p) = -1] marks a process
-       whose guard scan fell back to closures, so its successor must be
-       interned instead of copied from the table entry) *)
+       (of the canonicalized states) while [packed] is live *)
     mutable packed : A.state Model.packed option;
     ids : int array;
-    pk_act : int array;
-    pk_succ : int array;
+    (* incremental enabled set, per process: the last evaluation's
+       priority action ([act], -1 = none), packed successor id ([succ], -1
+       unless a table entry served it) and input mode ([mode], -1 =
+       invalidated); [readers.(q)]: processes whose evaluation read [q]
+       (stale entries only cost a re-evaluation); [stamp.(q) = gen] once
+       the current evaluation registered [q]; [did.(p)]: [p]'s last step *)
+    act : int array;
+    succ : int array;
+    mode : int array;
+    readers : int list array;
+    stamp : int array;
+    mutable gen : int;
+    did : int array;
     (* hot-path profiling: monotone counters, no wall-clock reads *)
     mutable prof_scan_hits : int;
     mutable prof_scan_fallbacks : int;
+    mutable prof_guard_evals : int;
     mutable prof_applies : int;
     mutable prof_selects : int;
   }
@@ -63,10 +72,16 @@ module Make (A : Model.ALGO) = struct
       cont_enabled = Array.make n 0;
       packed;
       ids;
-      pk_act = Array.make n (-1);
-      pk_succ = Array.make n (-1);
+      act = Array.make n (-1);
+      succ = Array.make n (-1);
+      mode = Array.make n (-1);
+      readers = Array.make n [];
+      stamp = Array.make n (-1);
+      gen = 0;
+      did = Array.make n (-1);
       prof_scan_hits = 0;
       prof_scan_fallbacks = 0;
+      prof_guard_evals = 0;
       prof_applies = 0;
       prof_selects = 0;
     }
@@ -88,10 +103,19 @@ module Make (A : Model.ALGO) = struct
       | () -> ()
       | exception Failure _ -> t.packed <- None)
 
+  (* Invalidate the recorded readers of [q] and forget them: an invalidated
+     entry is re-evaluated, re-registering its reads, before it is used. *)
+  let invalidate_readers t q =
+    List.iter (fun p -> t.mode.(p) <- -1) t.readers.(q);
+    t.readers.(q) <- []
+
   let set_states t s =
-    if Array.length s <> H.n t.h then invalid_arg "Engine.set_states";
-    t.states <- Array.copy s;
-    reintern t (List.init (H.n t.h) Fun.id)
+    let n = H.n t.h in
+    if Array.length s <> n then invalid_arg "Engine.set_states";
+    Array.blit s 0 t.states 0 n;
+    Array.fill t.mode 0 n (-1);
+    Array.fill t.readers 0 n [];
+    reintern t (List.init n Fun.id)
 
   let obs t = Array.init (H.n t.h) (A.observe t.h t.states)
   let steps_taken t = t.step_no
@@ -101,30 +125,34 @@ module Make (A : Model.ALGO) = struct
   let profile t =
     [ ("engine_scan_hits", t.prof_scan_hits);
       ("engine_scan_fallbacks", t.prof_scan_fallbacks);
+      ("engine_guard_evals", t.prof_guard_evals);
       ("engine_applies", t.prof_applies);
       ("engine_selects", t.prof_selects) ]
 
+  let check_local t p q =
+    if q <> p && not (H.are_neighbors t.h p q) then
+      failwith (Printf.sprintf "locality violation: process %d read state of %d" p q)
+
   let ctx_for t ~inputs p : A.state Model.ctx =
     let read =
-      if t.check_locality then (fun q ->
-        if q <> p && not (H.are_neighbors t.h p q) then
-          failwith
-            (Printf.sprintf "locality violation: process %d read state of %d" p q);
-        t.states.(q))
+      if t.check_locality then (fun q -> check_local t p q; t.states.(q))
       else Array.get t.states
     in
     { Model.h = t.h; inputs; read; self = p }
 
-  (* Highest-priority enabled action: the paper gives priority to actions
-     appearing later in the code (§2.2), hence the backwards scan. *)
-  let priority_action t ~inputs p =
-    let ctx = ctx_for t ~inputs p in
+  (* Highest-priority enabled action index, -1 if none: the paper gives
+     priority to actions appearing later in the code (§2.2), hence the
+     backwards scan. *)
+  let first_enabled t ctx =
     let rec scan i =
-      if i < 0 then None
-      else if t.actions.(i).Model.guard ctx then Some i
+      if i < 0 then -1
+      else if t.actions.(i).Model.guard ctx then i
       else scan (i - 1)
     in
     scan (Array.length t.actions - 1)
+
+  let priority_action t ~inputs p =
+    match first_enabled t (ctx_for t ~inputs p) with -1 -> None | i -> Some i
 
   let enabled t ~inputs =
     List.filter
@@ -136,138 +164,107 @@ module Make (A : Model.ALGO) = struct
   let enabled_action t ~inputs p =
     Option.map (fun i -> t.actions.(i).Model.label) (priority_action t ~inputs p)
 
-  (* Table-driven guard scan: one entry lookup per process, falling back to
-     the closure scan for cells the tables do not cover ([-2]).  Fills the
-     scratch arrays for the execution phase and returns the enabled list in
-     the same ascending order as {!enabled}, so the daemon sees an
-     identical selection problem (and makes identical RNG draws). *)
-  let packed_scan t pk ~inputs =
-    let acc = ref [] in
-    for p = H.n t.h - 1 downto 0 do
-      let e = pk.Model.pk_entry ~mode:(Model.mode_of inputs p) ~proc:p t.ids in
-      if e >= -1 then t.prof_scan_hits <- t.prof_scan_hits + 1
-      else t.prof_scan_fallbacks <- t.prof_scan_fallbacks + 1;
-      if e >= 0 then begin
-        t.pk_act.(p) <- Model.entry_act e;
-        t.pk_succ.(p) <- Model.entry_succ e;
-        acc := p :: !acc
-      end
-      else if e = -1 then t.pk_act.(p) <- -1
-      else begin
-        (match priority_action t ~inputs p with
-         | None -> t.pk_act.(p) <- -1
-         | Some i ->
-           t.pk_act.(p) <- i;
-           t.pk_succ.(p) <- -1;
-           acc := p :: !acc)
-      end
-    done;
-    !acc
+  let rec mem (p : int) = function [] -> false | q :: l -> q = p || mem p l
 
-  (* Same lookup, membership only (the post-step enabled set). *)
-  let packed_enabled t pk ~inputs =
+  let register t p q =
+    if t.stamp.(q) <> t.gen then begin
+      t.stamp.(q) <- t.gen;
+      if not (mem p t.readers.(q)) then t.readers.(q) <- p :: t.readers.(q)
+    end
+
+  (* (Re-)evaluate the entry of [p] under [mode]: a table lookup when the
+     packed hooks have one, the guard closures otherwise.  Either way [p]
+     becomes a reader of every process its result depends on — the table's
+     support, or whatever the closures actually read (recorded dynamically,
+     so non-local oracles such as [Token_vring] are tracked too). *)
+  let eval t ~inputs ~mode p =
+    t.prof_guard_evals <- t.prof_guard_evals + 1;
+    t.gen <- t.gen + 1;
+    t.mode.(p) <- mode;
+    let e = match t.packed with None -> -2 | Some pk -> pk.Model.pk_entry ~mode ~proc:p t.ids in
+    match t.packed with
+    | Some pk when e >= -1 ->
+      t.prof_scan_hits <- t.prof_scan_hits + 1;
+      Array.iter (register t p) (pk.Model.pk_support p);
+      t.act.(p) <- (if e >= 0 then Model.entry_act e else -1);
+      t.succ.(p) <- (if e >= 0 then Model.entry_succ e else -1)
+    | packed ->
+      if packed <> None then t.prof_scan_fallbacks <- t.prof_scan_fallbacks + 1;
+      let read q =
+        if t.check_locality then check_local t p q;
+        register t p q;
+        t.states.(q)
+      in
+      t.act.(p) <- first_enabled t { Model.h = t.h; inputs; read; self = p };
+      t.succ.(p) <- -1
+
+  (* The pre-step enabled set, ascending like {!enabled} (so the daemon
+     sees an identical selection problem and makes identical RNG draws):
+     only entries invalidated or computed under another input mode are
+     re-evaluated. *)
+  let scan t ~inputs =
     let acc = ref [] in
     for p = H.n t.h - 1 downto 0 do
-      let e = pk.Model.pk_entry ~mode:(Model.mode_of inputs p) ~proc:p t.ids in
-      let on =
-        if e = -2 then priority_action t ~inputs p <> None else e >= 0
-      in
-      if on then acc := p :: !acc
+      let mode = Model.mode_of inputs p in
+      if t.mode.(p) <> mode then eval t ~inputs ~mode p;
+      if t.act.(p) >= 0 then acc := p :: !acc
     done;
     !acc
 
   let step t ~inputs =
-    let enabled_before =
-      match t.packed with
-      | Some pk -> packed_scan t pk ~inputs
-      | None -> enabled t ~inputs
-    in
+    let enabled_before = scan t ~inputs in
     if enabled_before = [] then
       { Model.step = t.step_no; selected = []; executed = []; neutralized = [];
         round = t.round_no; terminal = true }
     else begin
+      let n = H.n t.h and now = t.step_no in
       (* establish the first round's pending set lazily: enabledness depends
          on the step's inputs, unknown at creation time *)
-      (match t.round_pending with
-       | Some _ -> ()
-       | None ->
-         let pending = Array.make (H.n t.h) false in
-         List.iter (fun p -> pending.(p) <- true) enabled_before;
-         t.round_pending <- Some pending);
+      if t.round_pending = None then
+        t.round_pending <- Some (Array.init n (fun p -> t.act.(p) >= 0));
       let selected =
-        Daemon.select t.daemon ~rng:t.rng ~step:t.step_no ~enabled:enabled_before
+        Daemon.select t.daemon ~rng:t.rng ~step:now ~enabled:enabled_before
           ~continuously_enabled:(Array.get t.cont_enabled)
       in
       let selected = List.sort_uniq compare selected in
       if selected = [] then invalid_arg "daemon selected an empty set";
       List.iter
         (fun p ->
-          if not (List.mem p enabled_before) then
+          if p < 0 || p >= n || t.act.(p) < 0 then
             invalid_arg (Printf.sprintf "daemon selected disabled process %d" p))
         selected;
-      (* all statements read the pre-step configuration; on the packed path
-         the chosen action index comes from the scratch filled by the scan,
-         but the statement still runs as a closure — the true states are
+      (* all statements read the pre-step configuration and run the action
+         the scan cached, always as closures: the true states are
          authoritative (tables know only canonicalized cells), so packed
-         and closure runs produce identical configurations by construction *)
-      let executed =
-        match t.packed with
-        | Some _ ->
-          List.filter_map
-            (fun p ->
-              let i = t.pk_act.(p) in
-              if i < 0 then None
-              else
-                let ctx = ctx_for t ~inputs p in
-                Some (p, i, t.actions.(i).Model.apply ctx))
-            selected
-        | None ->
-          List.filter_map
-            (fun p ->
-              match priority_action t ~inputs p with
-              | None -> None
-              | Some i ->
-                let ctx = ctx_for t ~inputs p in
-                Some (p, i, t.actions.(i).Model.apply ctx))
-            selected
+         and closure runs produce identical configurations *)
+      let next =
+        List.map (fun p -> t.actions.(t.act.(p)).Model.apply (ctx_for t ~inputs p)) selected
       in
+      let executed = List.map (fun p -> (p, t.actions.(t.act.(p)).Model.label)) selected in
       t.prof_selects <- t.prof_selects + 1;
-      t.prof_applies <- t.prof_applies + List.length executed;
-      let next = Array.copy t.states in
-      List.iter (fun (p, _, s) -> next.(p) <- s) executed;
-      t.states <- next;
+      t.prof_applies <- t.prof_applies + List.length selected;
+      List.iter2 (fun p s -> t.states.(p) <- s; t.did.(p) <- now) selected next;
       (* mirror update: table hits copy the packed successor id (sound
          because canon(apply(s)) = canon(apply(canon(s))) under the
-         System.S contract); closure fallbacks intern the new state *)
-      (match t.packed with
-       | None -> ()
-       | Some pk -> (
-         match
-           List.iter
-             (fun (p, _, s) ->
-               if t.pk_succ.(p) >= 0 then t.ids.(p) <- t.pk_succ.(p)
-               else t.ids.(p) <- pk.Model.pk_intern p s)
-             executed
-         with
-         | () -> ()
-         | exception Failure _ -> t.packed <- None));
-      let executed = List.map (fun (p, i, _) -> (p, t.actions.(i).Model.label)) executed in
-      let enabled_after =
-        match t.packed with
-        | Some pk -> packed_enabled t pk ~inputs
-        | None -> enabled t ~inputs
-      in
-      let did_execute p = List.mem_assoc p executed in
+         System.S contract); closure evaluations re-intern *)
+      if t.packed <> None then begin
+        List.iter (fun p -> if t.succ.(p) >= 0 then t.ids.(p) <- t.succ.(p)) selected;
+        reintern t (List.filter (fun p -> t.succ.(p) < 0) selected)
+      end;
+      (* post-step enabled set: only the recorded readers of the executed
+         processes can have changed *)
+      List.iter (invalidate_readers t) selected;
+      for p = 0 to n - 1 do
+        if t.mode.(p) < 0 then eval t ~inputs ~mode:(Model.mode_of inputs p) p
+      done;
+      let enabled_after p = t.act.(p) >= 0 and did_execute p = t.did.(p) = now in
       let neutralized =
-        List.filter
-          (fun p -> (not (did_execute p)) && not (List.mem p enabled_after))
-          enabled_before
+        List.filter (fun p -> not (did_execute p || enabled_after p)) enabled_before
       in
       (* weak-fairness accounting *)
-      for p = 0 to H.n t.h - 1 do
-        if did_execute p || not (List.mem p enabled_after) then t.cont_enabled.(p) <- 0
-        else if List.mem p enabled_before then
-          t.cont_enabled.(p) <- t.cont_enabled.(p) + 1
+      List.iter (fun p -> t.cont_enabled.(p) <- t.cont_enabled.(p) + 1) enabled_before;
+      for p = 0 to n - 1 do
+        if did_execute p || not (enabled_after p) then t.cont_enabled.(p) <- 0
       done;
       (* round accounting (§2.2): the round completes once every process of
          its initial enabled set has been activated or neutralized *)
@@ -275,19 +272,14 @@ module Make (A : Model.ALGO) = struct
        | None -> ()
        | Some pending ->
          List.iter (fun p -> pending.(p) <- false) neutralized;
-         List.iter (fun (p, _) -> pending.(p) <- false) executed;
+         List.iter (fun p -> pending.(p) <- false) selected;
          if not (Array.exists Fun.id pending) then begin
            t.round_no <- t.round_no + 1;
-           let fresh = Array.make (H.n t.h) false in
-           List.iter (fun p -> fresh.(p) <- true) enabled_after;
-           t.round_pending <- Some fresh
+           t.round_pending <- Some (Array.init n enabled_after)
          end);
-      let report =
-        { Model.step = t.step_no; selected; executed; neutralized;
-          round = t.round_no; terminal = false }
-      in
-      t.step_no <- t.step_no + 1;
-      report
+      t.step_no <- now + 1;
+      { Model.step = now; selected; executed; neutralized; round = t.round_no;
+        terminal = false }
     end
 
   let run t ~steps ~inputs_at ?(on_step = fun _ _ -> ()) ?(stop_when = fun _ -> false) () =
@@ -307,14 +299,16 @@ module Make (A : Model.ALGO) = struct
 
   let corrupt t ?rng ~victims () =
     let rng = match rng with Some r -> r | None -> t.rng in
-    let next = Array.copy t.states in
+    List.iter
+      (fun p -> if p < 0 || p >= H.n t.h then invalid_arg "Engine.corrupt: bad victim")
+      victims;
     List.iter
       (fun p ->
-        if p < 0 || p >= H.n t.h then invalid_arg "Engine.corrupt: bad victim";
-        next.(p) <- A.random_init t.h rng p;
-        t.cont_enabled.(p) <- 0)
+        t.states.(p) <- A.random_init t.h rng p;
+        t.cont_enabled.(p) <- 0;
+        invalidate_readers t p;
+        t.mode.(p) <- -1)
       victims;
-    t.states <- next;
     reintern t victims;
     (* a fault may disable pending processes without a step; restart the
        round measurement from the corrupted configuration *)

@@ -36,9 +36,11 @@ module Make (A : Model.ALGO) : sig
       ([Snapcc_statics.Analyze], surfaced as [ccsim lint]) evaluates every
       action against enumerated and random configurations and checks the
       same locality condition on the recorded read-sets, along with
-      write-ownership and determinism.  Use [check_locality] as a cheap
-      guard rail inside long simulations, and the static pass as the CI
-      gate.  [`Random] draws each process state with [A.random_init]
+      write-ownership and determinism.  Because {!step} re-evaluates only
+      the guards whose reads changed, [check_locality] checks only the
+      evaluations that actually run (and the statements): use it as a
+      cheap guard rail inside long simulations, and the static pass as the
+      CI gate.  [`Random] draws each process state with [A.random_init]
       (arbitrary initial configuration of §2.5). *)
 
   val engine_kind : t -> [ `Packed | `Closure ]
@@ -57,7 +59,12 @@ module Make (A : Model.ALGO) : sig
   (** Number of completed rounds. *)
 
   val enabled : t -> inputs:Model.inputs -> int list
+  (** Processes with an enabled action, ascending — always a full scan of
+      every guard, independent of {!step}'s cached set: the reference
+      oracle the incremental set is tested against. *)
+
   val is_terminal : t -> inputs:Model.inputs -> bool
+  (** [enabled t ~inputs = []] (a full scan). *)
 
   val enabled_action : t -> inputs:Model.inputs -> int -> string option
   (** Label of the highest-priority enabled action of a process, if any. *)
@@ -66,7 +73,23 @@ module Make (A : Model.ALGO) : sig
   (** One step: daemon selection, atomic execution of the highest-priority
       enabled action of each selected process against the pre-step
       configuration, then round/fairness bookkeeping.  In a terminal
-      configuration the report has [terminal = true] and nothing changes. *)
+      configuration the report has [terminal = true] and nothing changes.
+
+      The enabled sets are maintained {e incrementally}.  The engine caches
+      each process's scan result: its priority action (or none), the
+      packed successor id when a table entry served it, and the input mode
+      ({!Model.mode_of}) it was computed under.  While a guard is
+      evaluated, every state it reads registers the process as a reader
+      of that state (a table hit registers the table's support).  After
+      the statements apply, only the recorded readers of the executed
+      processes are re-evaluated; the result is the post-step enabled set
+      and, for processes whose input mode is unchanged, the next step's
+      pre-step set.  Reads are recorded dynamically, not taken from the
+      topology, so non-local oracles ([Token_vring]) are tracked soundly
+      for any deterministic guard.  The sets equal a full {!enabled} scan
+      and keep its ascending order, so daemon draws, reports and traces
+      are those of a full-scan engine.  {!corrupt} and {!set_states}
+      invalidate what they change. *)
 
   val run :
     t -> steps:int -> inputs_at:(t -> Model.inputs) ->
@@ -88,7 +111,10 @@ module Make (A : Model.ALGO) : sig
   val profile : t -> (string * int) list
   (** Cheap monotonic hot-path counters, surfaced in the bench artifacts:
       [engine_scan_hits] / [engine_scan_fallbacks] (guard scans served by
-      the packed tables vs dropped to closures), [engine_applies]
+      the packed tables vs dropped to closures), [engine_guard_evals]
+      (per-process guard evaluations {!step} actually ran, table lookups
+      included — a full-scan engine pays [2n] plus one per selected
+      process each step), [engine_applies]
       (statements executed), [engine_selects] (non-terminal daemon
       selections).  No wall-clock reads — safe on the hot path. *)
 end

@@ -71,6 +71,23 @@ type 'state packed = {
   pk_built : int -> bool;  (* stored table available for the process *)
 }
 
+type 'state packing = { hooks : 'state packed option; path : string; reason : string }
+
+let pack ~n ~requested build =
+  let closure reason = { hooks = None; path = "closure"; reason } in
+  if not requested then closure "closure engine requested"
+  else
+    match build () with
+    | exception Failure msg -> closure ("no tables: " ^ msg)
+    | pk ->
+      let k = List.length (List.filter pk.pk_built (List.init n Fun.id)) in
+      if k = 0 then closure "no process table fits the startup cap"
+      else
+        { hooks = Some pk; path = "packed";
+          reason =
+            (if k = n then "tables cover every process"
+             else Printf.sprintf "tables cover %d of %d processes; closures serve the rest" k n) }
+
 let entry_act e = e land 0x3f
 let entry_succ e = e lsr 23
 

@@ -89,6 +89,19 @@ type 'state packed = {
   pk_built : int -> bool;  (** a stored table exists for the process *)
 }
 
+type 'state packing = {
+  hooks : 'state packed option;  (** what to pass the engine *)
+  path : string;  (** ["packed"] or ["closure"] *)
+  reason : string;  (** why, for the run summary *)
+}
+
+val pack : n:int -> requested:bool -> (unit -> 'state packed) -> 'state packing
+(** The one startup decision of the table-driven fast path, shared by every
+    command that offers it: unless [requested] is false, [build] the hooks
+    for an [n]-process topology.  A build that fails (the tables bit-pack
+    at most 16 processes) or that stores no table at all yields the
+    closure path; either way [path]/[reason] say what serves the run. *)
+
 val entry_act : int -> int
 val entry_succ : int -> int
 (** Field accessors of a packed entry [>= 0] (the [Snapcc_mc.Tables]

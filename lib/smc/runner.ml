@@ -57,80 +57,48 @@ module Sys_cc2v =
 module Sys_cc3v =
   Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_vring) (X.Cc3_vring)
     (Cursor_on)
-module Pk_cc1 = Snapcc_mc.Packed.Make (Sys_cc1)
-module Pk_cc2 = Snapcc_mc.Packed.Make (Sys_cc2)
-module Pk_cc3 = Snapcc_mc.Packed.Make (Sys_cc3)
-module Pk_cc1v = Snapcc_mc.Packed.Make (Sys_cc1v)
-module Pk_cc2v = Snapcc_mc.Packed.Make (Sys_cc2v)
-module Pk_cc3v = Snapcc_mc.Packed.Make (Sys_cc3v)
 
 (* Same startup budget as the interactive commands: a process whose
    footprint-cell count exceeds this is served by the guard closures
    (trace-identical either way). *)
 let pack_cap = 1 lsl 20
 
-module Mk (A : Model.ALGO) = struct
+(* Tables are built here, in the parent, so forked workers inherit them
+   instead of re-enumerating per worker; [Model.pack] keeps the guard
+   closures (trace-identical) where no table can serve.  The chosen path
+   travels with the trial function, for the telemetry stream. *)
+module Mk (A : Model.ALGO) (Sys : Snapcc_mc.System.S with type state = A.state) =
+struct
   module T = Trial.Of (A)
+  module Pk = Snapcc_mc.Packed.Make (Sys)
 
-  let fn ?packed cfg i =
-    T.run ?packed ~seed:cfg.seed ~budget:cfg.budget ~daemon:cfg.daemon
-      ~workload:cfg.workload ~disc:cfg.disc cfg.topo ~trial:i
+  let trial_fn cfg =
+    let pk =
+      Model.pack ~n:(H.n cfg.topo) ~requested:(cfg.engine = `Packed) (fun () ->
+          Pk.hooks (Pk.build ~cap:pack_cap cfg.topo))
+    in
+    ( (pk.Model.path, pk.Model.reason),
+      fun i ->
+        T.run ?packed:pk.Model.hooks ~seed:cfg.seed ~budget:cfg.budget
+          ~daemon:cfg.daemon ~workload:cfg.workload ~disc:cfg.disc cfg.topo
+          ~trial:i )
 end
 
-module F_cc1 = Mk (X.Cc1)
-module F_cc2 = Mk (X.Cc2)
-module F_cc3 = Mk (X.Cc3)
-module F_cc1v = Mk (X.Cc1_vring)
-module F_cc2v = Mk (X.Cc2_vring)
-module F_cc3v = Mk (X.Cc3_vring)
-
-(* Tables are built here, in the parent, so forked workers inherit them
-   instead of re-enumerating per worker.  The tables only support
-   topologies whose configurations bit-pack (<= 16 processes); beyond
-   that the build raises and we transparently keep the guard closures,
-   which are trace-identical. *)
-let try_pack packed build =
-  if not packed then None else try Some (build ()) with Failure _ -> None
+module F_cc1 = Mk (X.Cc1) (Sys_cc1)
+module F_cc2 = Mk (X.Cc2) (Sys_cc2)
+module F_cc3 = Mk (X.Cc3) (Sys_cc3)
+module F_cc1v = Mk (X.Cc1_vring) (Sys_cc1v)
+module F_cc2v = Mk (X.Cc2_vring) (Sys_cc2v)
+module F_cc3v = Mk (X.Cc3_vring) (Sys_cc3v)
 
 let trial_fn cfg =
-  let packed = cfg.engine = `Packed in
   match cfg.algo with
-  | "cc1" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc1.hooks (Pk_cc1.build ~cap:pack_cap cfg.topo))
-    in
-    Ok (F_cc1.fn ?packed:pk cfg)
-  | "cc2" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc2.hooks (Pk_cc2.build ~cap:pack_cap cfg.topo))
-    in
-    Ok (F_cc2.fn ?packed:pk cfg)
-  | "cc3" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc3.hooks (Pk_cc3.build ~cap:pack_cap cfg.topo))
-    in
-    Ok (F_cc3.fn ?packed:pk cfg)
-  | "cc1-vring" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc1v.hooks (Pk_cc1v.build ~cap:pack_cap cfg.topo))
-    in
-    Ok (F_cc1v.fn ?packed:pk cfg)
-  | "cc2-vring" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc2v.hooks (Pk_cc2v.build ~cap:pack_cap cfg.topo))
-    in
-    Ok (F_cc2v.fn ?packed:pk cfg)
-  | "cc3-vring" ->
-    let pk =
-      try_pack packed (fun () ->
-          Pk_cc3v.hooks (Pk_cc3v.build ~cap:pack_cap cfg.topo))
-    in
-    Ok (F_cc3v.fn ?packed:pk cfg)
+  | "cc1" -> Ok (F_cc1.trial_fn cfg)
+  | "cc2" -> Ok (F_cc2.trial_fn cfg)
+  | "cc3" -> Ok (F_cc3.trial_fn cfg)
+  | "cc1-vring" -> Ok (F_cc1v.trial_fn cfg)
+  | "cc2-vring" -> Ok (F_cc2v.trial_fn cfg)
+  | "cc3-vring" -> Ok (F_cc3v.trial_fn cfg)
   | a ->
     Error
       (Printf.sprintf "smc supports %s, not %S"
@@ -175,7 +143,8 @@ let collect cfg f =
     done;
     (List.concat (List.rev !acc), Some (Sprt.outcome t))
 
-let emit_telemetry hub cfg records =
+let emit_telemetry hub cfg (path, reason) records =
+  Tele.Hub.emit hub (Tele.Event.Engine { path; reason });
   Tele.Hub.emit hub
     (Tele.Event.Run_start
        { algo = cfg.algo;
@@ -207,9 +176,9 @@ let run ?telemetry cfg =
   | Ok () -> (
     match trial_fn cfg with
     | Error _ as e -> e
-    | Ok f ->
+    | Ok (engine, f) ->
       let records, sprt = collect cfg f in
-      Option.iter (fun hub -> emit_telemetry hub cfg records) telemetry;
+      Option.iter (fun hub -> emit_telemetry hub cfg engine records) telemetry;
       Ok
         (Report.build ~algo:cfg.algo ~topo:cfg.topo_name ~daemon:cfg.daemon
            ~workload:cfg.workload ~disc:cfg.disc ~budget:cfg.budget

@@ -37,6 +37,7 @@ val sprt_batch : int
 val run :
   ?telemetry:Snapcc_telemetry.Hub.t -> cfg -> (Report.t, string) result
 (** Errors on unknown algo/daemon/workload names; raises [Failure] if a
-    worker dies mid-run.  With [telemetry], emits [run_start], one
+    worker dies mid-run.  With [telemetry], emits [engine] (the engine
+    path the trials ran on, see [Model.pack]), [run_start], one
     [smc_trial] per record (in trial order) and a [run_end] — the JSONL
     trace is identical for any worker count. *)

@@ -8,6 +8,7 @@ type t =
       m : int;
       topo : string;
     }
+  | Engine of { path : string; reason : string }
   | Step of {
       step : int;
       round : int;
@@ -70,6 +71,7 @@ let clock_corruption = 3
 
 let kind = function
   | Run_start _ -> "run_start"
+  | Engine _ -> "engine"
   | Step _ -> "step"
   | Action _ -> "action"
   | Convene _ -> "convene"
@@ -109,6 +111,8 @@ let to_json ev =
         ("n", Json.Int n);
         ("m", Json.Int m);
         ("topo", Json.String topo) ]
+    | Engine { path; reason } ->
+      [ ("path", Json.String path); ("reason", Json.String reason) ]
     | Step { step; round; selected; neutralized; meetings } ->
       [ ("step", Json.Int step);
         ("round", Json.Int round);
@@ -212,6 +216,10 @@ let of_json j =
       match Json.member "topo" j with Some (Json.String s) -> s | _ -> ""
     in
     Ok (Run_start { algo; daemon; workload; seed; n; m; topo })
+  | "engine" ->
+    let* path = str "path" in
+    let* reason = str "reason" in
+    Ok (Engine { path; reason })
   | "step" ->
     let* step = int "step" in
     let* round = int "round" in

@@ -26,6 +26,9 @@ type t =
               trace is self-contained for offline causal analysis (empty
               in traces predating the causal layer). *)
     }
+  | Engine of { path : string; reason : string }
+      (** Which path serves the run's guard scans (["packed"] tables or
+          ["closure"] guards) and why, so a fallback is never silent. *)
   | Step of {
       step : int;
       round : int;

@@ -133,7 +133,7 @@ let catapult_json (s : Event.stamped) =
       (base ~name:("net drop: " ^ reason) ~ph:"i" ~tid:dst
          ~args:[ ("src", Json.Int src); ("step", Json.Int step) ]
          [ ("s", Json.String "t") ])
-  | Event.Run_start _ | Event.Run_end _ | Event.Wait_open _
+  | Event.Run_start _ | Event.Engine _ | Event.Run_end _ | Event.Wait_open _
   | Event.Wait_close _ | Event.Mc_frontier _ | Event.Mp_activated _
   | Event.Mp_delivered _ | Event.Net_sent _ | Event.Clock _
   | Event.Smc_trial _ ->

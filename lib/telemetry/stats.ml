@@ -26,6 +26,7 @@ type summary = {
   token_handoffs : int;
   latency_histogram : (string * int) list;
   outcome : string option;
+  engine : (string * string) option;
 }
 
 (* nearest-rank percentile, same semantics as
@@ -53,12 +54,15 @@ let of_events events =
   let tokens = ref 0 in
   let rev_latencies = ref [] in
   let run_end = ref None in
+  let engine = ref None in
   List.iter
     (fun (ev : Event.t) ->
       match ev with
       | Event.Run_start { algo; daemon; workload; seed; n; m; topo = _ } ->
         if !meta = None then
           meta := Some { algo; daemon; workload; seed; n; m }
+      | Event.Engine { path; reason } ->
+        if !engine = None then engine := Some (path, reason)
       | Event.Step { round; meetings; _ } ->
         incr step_events;
         if round > !max_round then max_round := round;
@@ -117,6 +121,7 @@ let of_events events =
         (if !rev_latencies = [] then []
          else Registry.bucket_counts (List.rev !rev_latencies));
       outcome;
+      engine = !engine;
     } )
 
 let to_json ?meta s =
@@ -142,8 +147,15 @@ let to_json ?meta s =
       [ ( "latency_histogram",
           Json.Obj (List.map (fun (l, c) -> (l, Json.Int c)) buckets) ) ]
   in
+  let engine_fields =
+    match s.engine with
+    | None -> []
+    | Some (path, reason) ->
+      [ ("engine", Json.Obj [ ("path", Json.String path); ("reason", Json.String reason) ]) ]
+  in
   Json.Obj
     (meta_fields
+    @ engine_fields
     @ [ ( "summary",
           Json.Obj
             ([ ("steps", Json.Int s.steps);

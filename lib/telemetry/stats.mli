@@ -37,6 +37,8 @@ type summary = {
       (** Delivery latencies bucketized by {!Registry.bucket_counts};
           empty when the trace carried no [net_delivered] events. *)
   outcome : string option;  (** from [run_end], if present *)
+  engine : (string * string) option;
+      (** [(path, reason)] from the first [engine] event, if any. *)
 }
 
 val of_events : Event.t list -> meta option * summary
@@ -44,8 +46,8 @@ val of_events : Event.t list -> meta option * summary
     from [run_end] when present, otherwise from counting [step] events. *)
 
 val to_json : ?meta:meta -> summary -> Json.t
-(** [{"meta":{..},"summary":{..,"waits":{..}}}] ([meta] omitted when
-    absent). *)
+(** [{"meta":{..},"engine":{..},"summary":{..,"waits":{..}}}] ([meta]
+    and [engine] omitted when absent). *)
 
 val events_of_jsonl : string list -> (Event.t list, string) result
 (** Parse the lines of a JSONL trace (blank lines skipped); the error names

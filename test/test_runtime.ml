@@ -261,6 +261,155 @@ let test_trace_fault_boundary () =
   check_int "fault entries counted in length" 5
     (Snapcc_runtime.Trace.length tr)
 
+(* ---- incremental enabled set vs the full-scan oracle ---- *)
+
+module Workload = Snapcc_workload.Workload
+module X = Snapcc_experiments.Algos
+
+module Cursor_off = struct
+  let cursor = false
+end
+
+module Sys_cc1 = Snapcc_mc.Systems.Cc1_sys (Snapcc_token.Token_tree) (X.Cc1)
+module Sys_cc2 =
+  Snapcc_mc.Systems.Cc23_sys (Snapcc_token.Token_tree) (X.Cc2) (Cursor_off)
+
+(* Before every step, the set [step] selects from (the engine's cached,
+   incrementally maintained set) must equal a full guard scan; after it,
+   the neutralized processes must match a full scan of the post-step
+   configuration.  Discussion length 2 makes the input mode change between
+   steps; a corruption and a wholesale [set_states] land mid-run. *)
+module Oracle (A : Model.ALGO) = struct
+  module E = Snapcc_runtime.Engine.Make (A)
+
+  let run ?packed ~name ~daemon ~seed ~steps h =
+    let eng = E.create ~seed ~init:`Random ?packed ~daemon h in
+    let wl = Workload.always_requesting ~disc_len:(fun _ -> 2) h in
+    let scramble = Random.State.make [| seed; 7 |] in
+    for i = 1 to steps do
+      if i = steps / 3 then
+        E.corrupt eng ~rng:scramble ~victims:[ 0; H.n h - 1 ] ();
+      if i = 2 * steps / 3 then
+        E.set_states eng
+          (Array.init (H.n h) (A.random_init h scramble));
+      let inputs = Workload.inputs wl (E.obs eng) in
+      let before = E.enabled eng ~inputs in
+      let r = E.step eng ~inputs in
+      let mismatch what expected got =
+        let show l = String.concat "," (List.map string_of_int l) in
+        Alcotest.failf "%s step %d: %s [%s], full scan [%s]" name i what
+          (show got) (show expected)
+      in
+      let sync = Daemon.name daemon = Daemon.name Daemon.synchronous in
+      if (sync || r.Model.terminal) && r.Model.selected <> before then
+        mismatch "selected" before r.Model.selected;
+      if not (List.for_all (fun p -> List.mem p before) r.Model.selected) then
+        mismatch "selected" before r.Model.selected;
+      let after = E.enabled eng ~inputs in
+      let executed = List.map fst r.Model.executed in
+      let neutralized =
+        List.filter (fun p -> not (List.mem p executed || List.mem p after)) before
+      in
+      if r.Model.neutralized <> neutralized then
+        mismatch "neutralized" neutralized r.Model.neutralized;
+      Workload.observe wl ~step:i (E.obs eng)
+    done
+end
+
+module O1 = Oracle (X.Cc1)
+module O2 = Oracle (X.Cc2)
+module O3 = Oracle (X.Cc3)
+module O1v = Oracle (X.Cc1_vring)
+module O2v = Oracle (X.Cc2_vring)
+module O3v = Oracle (X.Cc3_vring)
+
+let oracle_daemons = [ Daemon.synchronous; Daemon.random_subset (); Daemon.central () ]
+
+let test_incremental_oracle () =
+  List.iter
+    (fun topo ->
+      let h = Families.by_name topo in
+      List.iter
+        (fun daemon ->
+          List.iter
+            (fun seed ->
+              let name a =
+                Printf.sprintf "%s/%s/%s/seed%d" a topo (Daemon.name daemon) seed
+              in
+              let steps = 240 in
+              O1.run ~name:(name "cc1") ~daemon ~seed ~steps h;
+              O2.run ~name:(name "cc2") ~daemon ~seed ~steps h;
+              O3.run ~name:(name "cc3") ~daemon ~seed ~steps h;
+              O1v.run ~name:(name "cc1-vring") ~daemon ~seed ~steps h;
+              O2v.run ~name:(name "cc2-vring") ~daemon ~seed ~steps h;
+              O3v.run ~name:(name "cc3-vring") ~daemon ~seed ~steps h)
+            [ 1; 2; 3 ])
+        oracle_daemons)
+    [ "fig1"; "ring7"; "triangle3" ]
+
+module Pk1 = Snapcc_mc.Packed.Make (Sys_cc1)
+module Pk2 = Snapcc_mc.Packed.Make (Sys_cc2)
+
+let test_incremental_oracle_packed () =
+  List.iter
+    (fun topo ->
+      let h = Families.by_name topo in
+      let hooks1 = Pk1.hooks (Pk1.build h) and hooks2 = Pk2.hooks (Pk2.build h) in
+      List.iter
+        (fun daemon ->
+          List.iter
+            (fun seed ->
+              let name a =
+                Printf.sprintf "%s/%s/%s/seed%d/packed" a topo (Daemon.name daemon) seed
+              in
+              O1.run ~packed:hooks1 ~name:(name "cc1") ~daemon ~seed ~steps:300 h;
+              O2.run ~packed:hooks2 ~name:(name "cc2") ~daemon ~seed ~steps:300 h)
+            [ 1; 2 ])
+        oracle_daemons)
+    [ "single2"; "line3" ]
+
+(* The one startup decision of the packed path, as run/mp/smc take it:
+   every outcome names the path that serves the run and why. *)
+let test_pack_decision () =
+  let pack ?cap ~requested topo =
+    let h = Families.by_name topo in
+    Model.pack ~n:(H.n h) ~requested (fun () -> Pk1.hooks (Pk1.build ?cap h))
+  in
+  let is ~path ~hooks (pk : _ Model.packing) =
+    Alcotest.(check string) (pk.Model.reason ^ ": path") path pk.Model.path;
+    check (pk.Model.reason ^ ": hooks") hooks (pk.Model.hooks <> None)
+  in
+  is ~path:"closure" ~hooks:false (pack ~requested:false "single2");
+  is ~path:"packed" ~hooks:true (pack ~requested:true "single2");
+  is ~path:"closure" ~hooks:false (pack ~cap:1 ~requested:true "line3");
+  let big = pack ~requested:true "ring24" in
+  is ~path:"closure" ~hooks:false big;
+  check "ring24: reason names the table limit" true
+    (String.length big.Model.reason > 10
+     && String.sub big.Model.reason 0 10 = "no tables:")
+
+(* The point of the cache: a synchronous CC2 run on ring24 re-evaluates
+   fewer than 2n guards per step on average (a full-scan engine pays 2n
+   plus one per selected process). *)
+let test_guard_evals_ring24 () =
+  let h = Families.by_name "ring24" in
+  let n = H.n h in
+  let eng = O2.E.create ~seed:1 ~daemon:Daemon.synchronous h in
+  let wl = Workload.always_requesting ~disc_len:(fun _ -> 2) h in
+  let outcome =
+    O2.E.run eng ~steps:2_000
+      ~inputs_at:(fun e -> Workload.inputs wl (O2.E.obs e))
+      ~on_step:(fun e r -> Workload.observe wl ~step:r.Model.step (O2.E.obs e))
+      ()
+  in
+  check "ran its horizon" true (outcome = `Steps_exhausted);
+  let evals = List.assoc "engine_guard_evals" (O2.E.profile eng) in
+  let per_step = float evals /. float (O2.E.steps_taken eng) in
+  check
+    (Printf.sprintf "%.1f guard evaluations per step < 2n = %d" per_step (2 * n))
+    true
+    (per_step < float (2 * n))
+
 let suite =
   [ ( "runtime",
       [ Alcotest.test_case "priority: later action wins" `Quick test_priority;
@@ -277,5 +426,12 @@ let suite =
           test_trace_convened;
         Alcotest.test_case "trace fault boundaries" `Quick
           test_trace_fault_boundary;
+        Alcotest.test_case "incremental set = full scan" `Quick
+          test_incremental_oracle;
+        Alcotest.test_case "incremental set = full scan, packed" `Quick
+          test_incremental_oracle_packed;
+        Alcotest.test_case "ring24 guard evals per step" `Quick
+          test_guard_evals_ring24;
+        Alcotest.test_case "packed path decision" `Quick test_pack_decision;
       ] );
   ]

@@ -76,6 +76,7 @@ let test_json_float_rendering () =
 let all_events : Event.t list =
   [ Run_start { algo = "CC2"; daemon = "random(p=0.50)"; workload = "always";
                 seed = 3; n = 6; m = 5; topo = "n 6\ncommittee 0 1\n" };
+    Engine { path = "closure"; reason = "no tables: more than 16 processes" };
     Step { step = 1; round = 0; selected = [ 0; 2 ]; neutralized = [ 2 ];
            meetings = [ 1 ] };
     Action { step = 1; p = 0; label = "Step31" };
