@@ -459,12 +459,12 @@ let run_net_bench () =
 module Smc = Snapcc_smc
 
 (* Monte-Carlo throughput of `ccsim smc`: the same estimate computed
-   sequentially and with 4 forked workers.  The two reports must be
-   byte-identical (the tier's core guarantee — asserted here on every
-   bench run); the speedup is what CI gates on, since the runner there
-   has >= 4 cores.  CI widths travel with the numbers so precision
-   regressions (e.g. a broken pooled-wait merge) are visible in the
-   artifact diff. *)
+   sequentially and with 4 workers (OCaml domains, at most one per core).
+   The two reports must be byte-identical (the tier's core guarantee —
+   asserted here on every bench run); the speedup is what CI gates on,
+   since the runner there has >= 4 cores.  CI widths travel with the
+   numbers so precision regressions (e.g. a broken pooled-wait merge) are
+   visible in the artifact diff. *)
 let run_smc_bench () =
   let topo_name, trials, budget =
     if quick then ("ring5", 240, 400) else ("ring9", 2000, 600)
@@ -647,9 +647,13 @@ let () =
   let mc = run_mc_bench () in
   let exact = run_exact_bench () in
   let engine = run_engine_bench () in
+  (* the net part forks its nodes, and OCaml 5.1 cannot fork once a
+     domain has been spawned: it must run before the smc part.  The smc
+     part comes last because its worker domains stay alive, blocked, and
+     slow down every later part's minor collections. *)
   let net = run_net_bench () in
-  let smc = run_smc_bench () in
   let micro = run_micro_benchmarks () in
+  let smc = run_smc_bench () in
   let label = if quick then "quick" else "full" in
   let file = Printf.sprintf "BENCH_%s.json" label in
   let oc = open_out file in

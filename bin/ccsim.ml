@@ -1466,8 +1466,9 @@ let smc_budget_arg =
 let smc_workers_arg =
   Arg.(value & opt pos_int_conv 1
        & info [ "workers" ] ~docv:"N"
-           ~doc:"Forked worker processes (positive).  The merged report and \
-                 trace are byte-identical for every worker count.")
+           ~doc:"Parallel workers (positive): trials run on at most this many \
+                 OCaml domains, capped at the core count.  The merged report \
+                 and trace are byte-identical for every worker count.")
 
 let smc_confidence_arg =
   Arg.(value & opt probability_conv 0.95

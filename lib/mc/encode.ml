@@ -69,6 +69,10 @@ module Make (Sys : System.S) = struct
       domains;
     t
 
+  let copy t =
+    let copy_proc ps = { tbl = Tbl.copy ps.tbl; states = Vec.copy ps.states } in
+    { t with procs = Array.map copy_proc t.procs }
+
   let escapees t =
     List.concat
       (List.init (n t) (fun p ->

@@ -18,6 +18,10 @@ module Make (Sys : System.S) : sig
   val create : Snapcc_hypergraph.Hypergraph.t -> t
   (** Interns [Sys.domain h p] for every [p] (in list order). *)
 
+  val copy : t -> t
+  (** An independent store with the same ids: interning into the copy
+      leaves [t] unchanged (the interned states themselves are shared). *)
+
   val n : t -> int
   (** Number of processes. *)
 

@@ -41,4 +41,27 @@ module Make (Sys : System.S) = struct
       pk_support = (fun p -> Tb.support t.tb p);
       pk_built =
         (fun p -> match Tb.status t.tb p with `Built -> true | _ -> false) }
+
+  (* A domain's copy of the encoder, with the snapshot it was taken from.
+     One key for the functor, so a long-lived domain keeps at most the
+     copy of the latest [domain_hooks]. *)
+  let local_copy = Domain.DLS.new_key (fun () -> None)
+
+  (* The tables are read-only, but [pk_intern] adds escapees to the
+     encoder's hash tables; so every domain but the caller interns into
+     its own copy of the encoder as it stood here. *)
+  let domain_hooks t =
+    let enc = Tb.enc t.tb and owner = Domain.self () in
+    let snapshot = Enc.copy enc in
+    let local () =
+      if Domain.self () = owner then enc
+      else
+        match Domain.DLS.get local_copy with
+        | Some (s, copy) when s == snapshot -> copy
+        | _ ->
+          let copy = Enc.copy snapshot in
+          Domain.DLS.set local_copy (Some (snapshot, copy));
+          copy
+    in
+    { (hooks t) with Model.pk_intern = (fun p s -> Enc.intern (local ()) p s) }
 end

@@ -36,4 +36,12 @@ module Make (Sys : System.S) : sig
   (** Fraction of processes with a stored table. *)
 
   val hooks : t -> Sys.state Snapcc_runtime.Model.packed
+
+  val domain_hooks : t -> Sys.state Snapcc_runtime.Model.packed
+  (** {!hooks} that may serve engines on several domains at once: the
+      tables are shared, and each domain other than the caller interns
+      escapees into its own copy of the state encoder, taken from the
+      encoder as it stands at this call, and keeps only the copy made for
+      the latest call.  Escapee ids are never table indices, so which
+      domain interned a state first cannot change a guard lookup. *)
 end

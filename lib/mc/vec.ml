@@ -1,6 +1,7 @@
 type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
+let copy v = { data = Array.copy v.data; len = v.len }
 let length v = v.len
 
 let push v x =

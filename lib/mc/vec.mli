@@ -5,6 +5,7 @@
 type 'a t
 
 val create : unit -> 'a t
+val copy : 'a t -> 'a t
 val length : 'a t -> int
 val push : 'a t -> 'a -> unit
 

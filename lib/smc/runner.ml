@@ -4,11 +4,12 @@
    telemetry stream, build the report.
 
    Worker-count independence is arranged here once and relied on
-   everywhere: the packed tables are built in the parent (workers inherit
-   them through fork), trial records come back in index order from the
-   pool, the SPRT consumes them in index order in batches whose size
-   never depends on the worker count, and telemetry is emitted only by
-   the parent after the records are merged. *)
+   everywhere: the packed tables are built once, in the calling domain,
+   and shared read-only by the pool's domains (each interns escapees into
+   its own copy of the state encoder), trial records come back in index
+   order from the pool, the SPRT consumes them in index order in batches
+   whose size never depends on the worker count, and telemetry is emitted
+   only by the calling domain after the records are merged. *)
 
 module H = Snapcc_hypergraph.Hypergraph
 module Model = Snapcc_runtime.Model
@@ -63,10 +64,11 @@ module Sys_cc3v =
    (trace-identical either way). *)
 let pack_cap = 1 lsl 20
 
-(* Tables are built here, in the parent, so forked workers inherit them
-   instead of re-enumerating per worker; [Model.pack] keeps the guard
-   closures (trace-identical) where no table can serve.  The chosen path
-   travels with the trial function, for the telemetry stream. *)
+(* Tables are built here, once, in the calling domain; the pool's other
+   domains share them through [Pk.domain_hooks] instead of re-enumerating.
+   [Model.pack] keeps the guard closures (trace-identical) where no table
+   can serve.  The chosen path travels with the trial function, for the
+   telemetry stream. *)
 module Mk (A : Model.ALGO) (Sys : Snapcc_mc.System.S with type state = A.state) =
 struct
   module T = Trial.Of (A)
@@ -75,7 +77,7 @@ struct
   let trial_fn cfg =
     let pk =
       Model.pack ~n:(H.n cfg.topo) ~requested:(cfg.engine = `Packed) (fun () ->
-          Pk.hooks (Pk.build ~cap:pack_cap cfg.topo))
+          Pk.domain_hooks (Pk.build ~cap:pack_cap cfg.topo))
     in
     ( (pk.Model.path, pk.Model.reason),
       fun i ->

@@ -1,11 +1,11 @@
 (** Orchestration of an smc run: typed algorithm dispatch (with packed
-    tables built once, in the parent), the worker pool, SPRT batching,
-    telemetry and the report.
+    tables built once, in the calling domain), the domain pool, SPRT
+    batching, telemetry and the report.
 
     The merged result is byte-reproducible for any [workers] value:
     records are pure functions of [(seed, trial)] ({!Trial}), the pool
     returns them in index order ({!Pool}), SPRT consumes fixed-size
-    index batches, and only the parent emits telemetry. *)
+    index batches, and only the calling domain emits telemetry. *)
 
 type cfg = {
   algo : string;  (** cc1|cc2|cc3|cc1-vring|cc2-vring|cc3-vring *)
@@ -36,8 +36,8 @@ val sprt_batch : int
 
 val run :
   ?telemetry:Snapcc_telemetry.Hub.t -> cfg -> (Report.t, string) result
-(** Errors on unknown algo/daemon/workload names; raises [Failure] if a
-    worker dies mid-run.  With [telemetry], emits [engine] (the engine
+(** Errors on unknown algo/daemon/workload names; an exception raised by
+    a trial propagates (see {!Pool.run}).  With [telemetry], emits [engine] (the engine
     path the trials ran on, see [Model.pack]), [run_start], one
     [smc_trial] per record (in trial order) and a [run_end] — the JSONL
     trace is identical for any worker count. *)

@@ -39,7 +39,7 @@ val workload_names : string list
 
 val daemon_of : string -> Snapcc_runtime.Daemon.t
 (** Fresh (unshared) daemon instance; raises [Invalid_argument] on
-    unknown names — validate via {!daemon_names} before forking. *)
+    unknown names — validate via {!daemon_names} before running the pool. *)
 
 val workload_of :
   string ->

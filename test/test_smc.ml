@@ -1,8 +1,8 @@
-(* The statistical tier: seed determinism, sequential-vs-parallel merge
-   equality, estimator coverage on known-probability fixtures, SPRT
-   accept/reject with early stopping, agreement with the exhaustive
-   checker on single2, and the cmdliner-level --burst-at/--soak
-   precedence contract of lib/cli. *)
+(* The statistical tier, sequential cases: seed determinism, estimator
+   coverage on known-probability fixtures, SPRT accept/reject with early
+   stopping, agreement with the exhaustive checker on single2, and the
+   cmdliner-level --burst-at/--soak precedence contract of lib/cli.  The
+   cases that spawn domains are in test_smc_domains.ml. *)
 
 module H = Snapcc_hypergraph.Hypergraph
 module Families = Snapcc_hypergraph.Families
@@ -13,31 +13,7 @@ module Cli = Snapcc_cli.Cli
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let cfg ?(algo = "cc1") ?(topo = "single2") ?(workload = "always")
-    ?(daemon = "random") ?(trials = 60) ?(budget = 200) ?(workers = 1)
-    ?(seed = 42) ?sprt ?sprt_within () =
-  { Smc.Runner.algo;
-    topo_name = topo;
-    topo = Families.by_name topo;
-    daemon;
-    workload;
-    disc = 2;
-    budget;
-    trials;
-    workers;
-    seed;
-    confidence = 0.95;
-    engine = `Packed;
-    sprt;
-    sprt_delta = 0.02;
-    sprt_within }
-
-let report c =
-  match Smc.Runner.run c with
-  | Ok r -> r
-  | Error msg -> Alcotest.fail ("smc runner: " ^ msg)
-
-let report_string r = Tele.Json.to_string (Smc.Report.to_json r)
+open Smc_fixture
 
 (* ---- per-trial seed derivation ---- *)
 
@@ -63,35 +39,6 @@ let test_seed_determinism () =
   let r3 = report (cfg ~seed:43 ()) in
   check "different seed, different report" false
     (report_string r1 = report_string r3)
-
-(* ---- sequential == parallel ---- *)
-
-let test_pool_merge_order () =
-  (* synthetic records: the pool must return f applied to exactly
-     [offset, offset+count) in index order, for any worker count *)
-  let f i =
-    { Smc.Trial.trial = i;
-      seed = Smc.Trial.derive ~seed:9 i;
-      stabilized = (if i mod 3 = 0 then Some i else None);
-      convenes = i mod 5;
-      violations = 0;
-      deadlocked = i mod 7 = 0;
-      steps = i;
-      waits = [ i; i + 1 ] }
-  in
-  let seq = Smc.Pool.run ~workers:1 ~offset:3 ~count:41 f in
-  List.iter
-    (fun w ->
-      let par = Smc.Pool.run ~workers:w ~offset:3 ~count:41 f in
-      check (Printf.sprintf "workers=%d merge equals sequential" w) true
-        (par = seq))
-    [ 2; 3; 5; 8 ]
-
-let test_sequential_vs_parallel_report () =
-  let r1 = report (cfg ~workers:1 ()) in
-  let r3 = report (cfg ~workers:3 ()) in
-  Alcotest.(check string) "workers 1 and 3 merge to identical reports"
-    (report_string r1) (report_string r3)
 
 (* ---- estimator quantiles against table values ---- *)
 
@@ -308,10 +255,6 @@ let suite =
       [ Alcotest.test_case "derived seeds distinct" `Quick
           test_derive_disjoint;
         Alcotest.test_case "seed determinism" `Quick test_seed_determinism;
-        Alcotest.test_case "pool merge order (synthetic)" `Quick
-          test_pool_merge_order;
-        Alcotest.test_case "sequential == parallel report" `Quick
-          test_sequential_vs_parallel_report;
         Alcotest.test_case "normal/t quantiles" `Quick test_quantiles;
         Alcotest.test_case "wilson coverage (Bernoulli fixture)" `Quick
           test_wilson_coverage;
