@@ -7,6 +7,9 @@
    Part 2 macro-benchmarks the exhaustive model checker (lib/mc) on the
    3-professor conflict triangle: states/second and peak resident states.
 
+   Part 2d measures one process's guard scan (ns and minor words) on
+   ring24 configurations for CC1/CC2/CC3.
+
    Part 3 macro-benchmarks the networked runtime (lib/net): forked node
    processes on a ring behind lossy links, reporting snapshots/s, bytes/s
    and the end-to-end handoff-latency distribution.
@@ -352,6 +355,72 @@ let run_engine_bench () =
       ("profile",
        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) profile)) ]
 
+(* ---------- Part 2d: guard scans ---------- *)
+
+(* One process's priority scan (§2.2: guards evaluated backwards until one
+   holds) under the guard closures, the inner loop of every tier: ns and
+   minor words per scan for cc1/cc2/cc3 on ring24, over the configurations
+   (and workload inputs) that fixed-seed runs from random initial states
+   reach every 100 steps.  CI gates cc2's words per scan, so a guard that
+   builds lists again shows up there. *)
+
+let rec first_enabled (acts : _ Model.action array) ctx i =
+  if i < 0 then -1 else if acts.(i).Model.guard ctx then i else first_enabled acts ctx (i - 1)
+
+let scan_bench (type s) key (module A : Model.ALGO with type state = s) h =
+  let module E = Snapcc_runtime.Engine.Make (A) in
+  let ctxs = ref [] in
+  for seed = 1 to 8 do
+    let eng = E.create ~seed ~init:`Random ~daemon:(Daemon.random_subset ()) h in
+    let workload = Workload.always_requesting h in
+    for step = 1 to 500 do
+      let inputs = Workload.inputs workload (E.obs eng) in
+      let r = E.step eng ~inputs in
+      if not r.Model.terminal then Workload.observe workload ~step:r.Model.step (E.obs eng);
+      if step mod 100 = 0 then begin
+        let states = Array.copy (E.states eng) in
+        let inputs = Workload.inputs workload (E.obs eng) in
+        for p = 0 to Snapcc_hypergraph.Hypergraph.n h - 1 do
+          ctxs := { Model.h; inputs; read = Array.get states; self = p } :: !ctxs
+        done
+      end
+    done
+  done;
+  let ctxs = Array.of_list !ctxs in
+  let acts = Array.of_list (A.actions h) in
+  let last = Array.length acts - 1 in
+  let rounds = if quick then 50 else 250 in
+  let enabled = ref 0 in
+  Array.iter (fun ctx -> if first_enabled acts ctx last >= 0 then incr enabled) ctxs;
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to rounds do
+    for i = 0 to Array.length ctxs - 1 do
+      ignore (first_enabled acts ctxs.(i) last)
+    done
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  let scans = float_of_int (rounds * Array.length ctxs) in
+  let words = (Gc.minor_words () -. w0) /. scans in
+  let ns = dt *. 1e9 /. scans in
+  Format.printf "%-4s %6d scans/round  %7.1f ns/scan  %7.1f words/scan  enabled %d@."
+    key (Array.length ctxs) ns words !enabled;
+  ( key,
+    Json.Obj
+      [ ("scans", Json.Int (rounds * Array.length ctxs));
+        ("enabled_share", Json.Float (float_of_int !enabled /. float_of_int (Array.length ctxs)));
+        ("ns_per_scan", Json.Float ns);
+        ("words_per_scan", Json.Float words) ] )
+
+let run_guard_bench () =
+  let topo, h = ("ring24", Families.pair_ring 24) in
+  Format.printf "=== guard scans: closures on %s ===@." topo;
+  let cc1 = scan_bench "cc1" (module X.Cc1) h in
+  let cc2 = scan_bench "cc2" (module X.Cc2) h in
+  let cc3 = scan_bench "cc3" (module X.Cc3) h in
+  Format.printf "@.";
+  Json.Obj [ ("topo", Json.String topo); cc1; cc2; cc3 ]
+
 (* ---------- Part 3: networked-runtime macro-benchmark ---------- *)
 
 module Net = Snapcc_net
@@ -647,6 +716,7 @@ let () =
   let mc = run_mc_bench () in
   let exact = run_exact_bench () in
   let engine = run_engine_bench () in
+  let guards = run_guard_bench () in
   (* the net part forks its nodes, and OCaml 5.1 cannot fork once a
      domain has been spawned: it must run before the smc part.  The smc
      part comes last because its worker domains stay alive, blocked, and
@@ -665,6 +735,7 @@ let () =
             ("mc", mc);
             ("exact", Json.List exact);
             ("engine", engine);
+            ("guards", guards);
             ("net", net);
             ("smc", smc);
             ("micro", Json.List micro) ]));

@@ -80,87 +80,89 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
   let release h read p = T.release h ~read:(fun q -> snd (read q)) p
   let c read p = fst (read p)
 
-  (* ---- macros of Algorithm 1 ---- *)
+  (* ---- macros of Algorithm 1 ----
+     Loops over the hypergraph (see {!Cc_common.exists_committee}); only
+     the statement of [Step21] builds the [FreeEdges] list. *)
+
+  let looking read _e q = (c read q).s = Looking
+
+  (* [ε ∈ FreeEdges(p)] for [ε ∈ Ep]: every member is looking *)
+  let is_free_edge h read e = all_members looking h read e
 
   let free_edges h read p =
-    Array.to_list (H.incident h p)
-    |> List.filter (fun e ->
-           Array.for_all (fun q -> (c read q).s = Looking) (H.edge_members h e))
+    List.filter (is_free_edge h read) (Array.to_list (H.incident h p))
 
-  let free_nodes h read p =
-    free_edges h read p
-    |> List.concat_map (members_list h)
-    |> List.sort_uniq compare
+  (* [max(Cands(p))]: the largest identifier of [TFreeNodes(p)], or of
+     [FreeNodes(p)] when [TFreeNodes(p) = ∅]; [-1] when [FreeEdges(p) = ∅].
+     Every committee of [p] is tested, like the macros. *)
+  let cands_max h read p =
+    let es = H.incident h p in
+    let free = ref (-1) and tfree = ref (-1) in
+    for i = 0 to Array.length es - 1 do
+      if is_free_edge h read es.(i) then begin
+        let ms = H.edge_members h es.(i) in
+        for j = 0 to Array.length ms - 1 do
+          let q = ms.(j) in
+          free := max_id h !free q;
+          if (c read q).tf then tfree := max_id h !tfree q
+        done
+      end
+    done;
+    if !tfree >= 0 then !tfree else !free
 
-  let tfree_nodes h read p = List.filter (fun q -> (c read q).tf) (free_nodes h read p)
-
-  let cands h read p =
-    match tfree_nodes h read p with [] -> free_nodes h read p | l -> l
+  (* [ε ∈ FreeEdges(p)] for any committee [ε] *)
+  let mem_free_edges h read p e = incident_to h p e && is_free_edge h read e
 
   (* ---- predicates of Algorithm 1 ---- *)
 
-  let ready h read p =
-    Array.exists
-      (fun e ->
-        Array.for_all
-          (fun q ->
-            let cq = c read q in
-            cq.ptr = Some e
-            && (B.unchecked_ready || cq.s = Looking || cq.s = Waiting))
-          (H.edge_members h e))
-      (H.incident h p)
+  let ready_member read e q =
+    let cq = c read q in
+    points_to cq.ptr e && (B.unchecked_ready || cq.s = Looking || cq.s = Waiting)
 
-  let local_max h read p = max_by_id h (cands h read p) = Some p
+  let ready h read p = exists_committee ready_member h read p
+
+  (* [LocalMax(p)] (implies [FreeEdges(p) ≠ ∅]) *)
+  let local_max h read p = cands_max h read p = p
 
   let max_to_free_edge h read p =
-    let free = free_edges h read p in
-    free <> [] && local_max h read p
+    local_max h read p
     && (not (ready h read p))
-    && (match (c read p).ptr with None -> true | Some e -> not (List.mem e free))
+    && (match (c read p).ptr with None -> true | Some e -> not (mem_free_edges h read p e))
 
   let join_local_max h read p =
-    let free = free_edges h read p in
-    free <> []
-    && (not (local_max h read p))
+    let leader = cands_max h read p in
+    leader >= 0 && leader <> p
     && (not (ready h read p))
     &&
-    match max_by_id h (cands h read p) with
+    match (c read leader).ptr with
     | None -> false
-    | Some leader ->
-      List.exists
-        (fun e -> (c read leader).ptr = Some e && (c read p).ptr <> Some e)
-        free
+    | Some e -> (not (points_to (c read p).ptr e)) && mem_free_edges h read p e
 
-  let meeting h read p =
-    Array.exists
-      (fun e ->
-        Array.for_all
-          (fun q ->
-            let cq = c read q in
-            cq.ptr = Some e && (cq.s = Waiting || cq.s = Done))
-          (H.edge_members h e))
-      (H.incident h p)
+  let meeting_member read e q =
+    let cq = c read q in
+    points_to cq.ptr e && (cq.s = Waiting || cq.s = Done)
 
+  let meeting h read p = exists_committee meeting_member h read p
+
+  let left_member read e q =
+    let cq = c read q in
+    (not (points_to cq.ptr e)) || cq.s = Done
+
+  (* the committee [Pp] is the only candidate: [Pp = ε] for one [ε] *)
   let leave_meeting h read p =
-    Array.exists
-      (fun e ->
-        (c read p).ptr = Some e
-        && Array.for_all
-             (fun q ->
-               let cq = c read q in
-               cq.ptr <> Some e || cq.s = Done)
-             (H.edge_members h e))
-      (H.incident h p)
+    match (c read p).ptr with
+    | Some e -> incident_to h p e && all_members left_member h read e
+    | None -> false
 
   let useless h read p =
     token h read p
     &&
     let cp = c read p in
-    cp.s = Idle || (cp.s = Looking && free_edges h read p = [])
+    cp.s = Idle || (cp.s = Looking && cands_max h read p < 0)
 
   let correct h ~read p =
     let cp = c read p in
-    (cp.s <> Idle || cp.ptr = None)
+    (cp.s <> Idle || Option.is_none cp.ptr)
     && (cp.s <> Waiting || ready h read p || meeting h read p)
     && (cp.s <> Done || meeting h read p || leave_meeting h read p)
 
@@ -184,10 +186,10 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
         guard = (fun ctx -> join_local_max h (rd ctx) (self ctx));
         apply =
           (fun ctx ->
-            let read = rd ctx and p = self ctx in
-            match max_by_id h (cands h read p) with
-            | Some leader -> ({ (me ctx) with ptr = (c read leader).ptr }, tc ctx)
-            | None -> (me ctx, tc ctx)) };
+            let read = rd ctx in
+            match cands_max h read (self ctx) with
+            | -1 -> (me ctx, tc ctx)
+            | leader -> ({ (me ctx) with ptr = (c read leader).ptr }, tc ctx)) };
       { Model.label = "Token1";
         guard = (fun ctx -> token h (rd ctx) (self ctx) <> (me ctx).tf);
         apply = (fun ctx -> ({ (me ctx) with tf = token h (rd ctx) (self ctx) }, tc ctx)) };

@@ -99,39 +99,66 @@ end = struct
   let release h read p = T.release h ~read:(fun q -> snd (read q)) p
   let c read p = fst (read p)
 
-  (* ---- macros of Algorithm 2 ---- *)
+  (* ---- macros of Algorithm 2 ----
+     Loops over the hypergraph (see {!Cc_common.exists_committee}); only
+     the statements of [Step11] and [Step13] build candidate lists. *)
+
+  let free_member read _e q =
+    let cq = c read q in
+    cq.s = Looking && (not cq.lk) && not cq.tf
+
+  (* [ε ∈ FreeEdges(p)] for [ε ∈ Ep] *)
+  let is_free_edge h read e = all_members free_member h read e
 
   let free_edges h read p =
-    Array.to_list (H.incident h p)
-    |> List.filter (fun e ->
-           Array.for_all
-             (fun q ->
-               let cq = c read q in
-               cq.s = Looking && (not cq.lk) && not cq.tf)
-             (H.edge_members h e))
+    List.filter (is_free_edge h read) (Array.to_list (H.incident h p))
 
-  let free_nodes h read p =
-    free_edges h read p
-    |> List.concat_map (members_list h)
-    |> List.sort_uniq compare
+  (* [ε ∈ FreeEdges(p)] for any committee [ε] *)
+  let mem_free_edges h read p e = incident_to h p e && is_free_edge h read e
 
-  (* token-pointing witnesses among the members of committees incident to
-     [p]: processes visibly claiming a committee with the token *)
-  let tpointing_witnesses h read p =
-    Array.to_list (H.incident h p)
-    |> List.concat_map (fun e ->
-           members_list h e
-           |> List.filter (fun q ->
-                  let cq = c read q in
-                  cq.ptr = Some e && cq.tf && cq.s = Looking))
-    |> List.sort_uniq compare
+  (* [max(FreeNodes(p))], [-1] when [FreeEdges(p) = ∅].  Every committee
+     of [p] is tested, like the macro. *)
+  let free_nodes_max h read p =
+    let es = H.incident h p in
+    let best = ref (-1) in
+    for i = 0 to Array.length es - 1 do
+      if is_free_edge h read es.(i) then begin
+        let ms = H.edge_members h es.(i) in
+        for j = 0 to Array.length ms - 1 do
+          best := max_id h !best ms.(j)
+        done
+      end
+    done;
+    !best
 
-  let tpointing_edges h read p =
-    tpointing_witnesses h read p
-    |> List.filter_map (fun q -> (c read q).ptr)
-    |> List.sort_uniq compare
+  (* token-pointing witness of [ε]: a member visibly claiming [ε] with the
+     token *)
+  let tpointing read e q =
+    let cq = c read q in
+    points_to cq.ptr e && cq.tf && cq.s = Looking
 
-  let min_edges h p = Array.to_list (H.min_edges h p)
+  (* [max(TPointingNodes(p))] over the witnesses among the members of
+     committees incident to [p]; [-1] when there is none.  Reads every
+     member of every committee of [p], like the macro. *)
+  let tpointing_nodes_max h read p =
+    let es = H.incident h p in
+    let best = ref (-1) in
+    for i = 0 to Array.length es - 1 do
+      let ms = H.edge_members h es.(i) in
+      for j = 0 to Array.length ms - 1 do
+        if tpointing read es.(i) ms.(j) then best := max_id h !best ms.(j)
+      done
+    done;
+    !best
+
+  (* [ε ∈ TPointingEdges(p)]: a witness points at [ε ∈ Ep] *)
+  let mem_tpointing_edges h read p e =
+    incident_to h p e
+    &&
+    let ms = H.edge_members h e in
+    let i = ref 0 in
+    while !i < Array.length ms && not (tpointing read e ms.(!i)) do incr i done;
+    !i < Array.length ms
 
   (* CC3: the committee currently selected by the round-robin cursor *)
   let sequential_edge h read p =
@@ -141,78 +168,68 @@ end = struct
 
   (* ---- predicates of Algorithm 2 ---- *)
 
-  let locked_pred h read p = tpointing_edges h read p <> []
+  (* [TPointingEdges(p) ≠ ∅] *)
+  let locked_pred h read p = tpointing_nodes_max h read p >= 0
 
-  let ready h read p =
-    Array.exists
-      (fun e ->
-        Array.for_all
-          (fun q ->
-            let cq = c read q in
-            cq.ptr = Some e && (cq.s = Looking || cq.s = Waiting))
-          (H.edge_members h e))
-      (H.incident h p)
+  let ready_member read e q =
+    let cq = c read q in
+    points_to cq.ptr e && (cq.s = Looking || cq.s = Waiting)
 
-  let meeting h read p =
-    Array.exists
-      (fun e ->
-        Array.for_all
-          (fun q ->
-            let cq = c read q in
-            cq.ptr = Some e && (cq.s = Waiting || cq.s = Done))
-          (H.edge_members h e))
-      (H.incident h p)
+  let ready h read p = exists_committee ready_member h read p
 
+  let meeting_member read e q =
+    let cq = c read q in
+    points_to cq.ptr e && (cq.s = Waiting || cq.s = Done)
+
+  let meeting h read p = exists_committee meeting_member h read p
+
+  let left_member read e q =
+    let cq = c read q in
+    (not (points_to cq.ptr e)) || cq.s <> Waiting
+
+  (* the committee [Pp] is the only candidate: [Pp = ε] for one [ε] *)
   let leave_meeting h read p =
-    Array.exists
-      (fun e ->
-        (c read p).ptr = Some e
-        && (c read p).s = Done
-        && Array.for_all
-             (fun q ->
-               let cq = c read q in
-               cq.ptr <> Some e || cq.s <> Waiting)
-             (H.edge_members h e))
-      (H.incident h p)
+    let cp = c read p in
+    match cp.ptr with
+    | Some e -> cp.s = Done && incident_to h p e && all_members left_member h read e
+    | None -> false
 
-  let local_max h read p = max_by_id h (free_nodes h read p) = Some p
+  (* [LocalMax(p)] (implies [FreeEdges(p) ≠ ∅]) *)
+  let local_max h read p = free_nodes_max h read p = p
 
   let max_to_free_edge h read p =
     V.non_token_convening
     && (not (token h read p))
     && (not (locked_pred h read p))
-    && free_edges h read p <> []
     && local_max h read p
     && (not (ready h read p))
     && (match (c read p).ptr with
         | None -> true
-        | Some e -> not (List.mem e (free_edges h read p)))
+        | Some e -> not (mem_free_edges h read p e))
 
   let join_local_max h read p =
     V.non_token_convening
     && (not (token h read p))
     && (not (locked_pred h read p))
-    && free_edges h read p <> []
-    && (not (local_max h read p))
+    &&
+    let leader = free_nodes_max h read p in
+    leader >= 0 && leader <> p
     && (not (ready h read p))
     &&
-    match max_by_id h (free_nodes h read p) with
+    match (c read leader).ptr with
     | None -> false
-    | Some leader ->
-      List.exists
-        (fun e -> (c read leader).ptr = Some e && (c read p).ptr <> Some e)
-        (free_edges h read p)
+    | Some e -> (not (points_to (c read p).ptr e)) && mem_free_edges h read p e
 
   let token_holder_to_edge h read p =
     token h read p
     && (c read p).s = Looking
     && (not (ready h read p))
     &&
-    if V.committee_fair then (c read p).ptr <> Some (sequential_edge h read p)
+    if V.committee_fair then not (points_to (c read p).ptr (sequential_edge h read p))
     else
       match (c read p).ptr with
       | None -> true
-      | Some e -> not (List.mem e (min_edges h p))
+      | Some e -> not (mem e (H.min_edges h p))
 
   let join_token_holder h read p =
     (not (token h read p))
@@ -221,18 +238,16 @@ end = struct
     && locked_pred h read p
     && (match (c read p).ptr with
         | None -> true
-        | Some e -> not (List.mem e (tpointing_edges h read p)))
+        | Some e -> not (mem_tpointing_edges h read p e))
 
   (* CC1's Useless predicate transplanted for the eager-release ablation:
      no incident committee has all its members looking. *)
+  let looking read _e q = (c read q).s = Looking
+
   let useless h read p =
     token h read p
     && (c read p).s = Looking
-    && not
-         (Array.exists
-            (fun e ->
-              Array.for_all (fun q -> (c read q).s = Looking) (H.edge_members h e))
-            (H.incident h p))
+    && not (exists_committee looking h read p)
 
   let correct h ~read p =
     let cp = c read p in
@@ -258,17 +273,17 @@ end = struct
           (fun ctx ->
             let e =
               if V.committee_fair then sequential_edge h (rd ctx) (self ctx)
-              else P.choose_edge h (min_edges h (self ctx))
+              else P.choose_edge h (Array.to_list (H.min_edges h (self ctx)))
             in
             ({ (me ctx) with ptr = Some e }, tc ctx)) };
       { Model.label = "Step12";
         guard = (fun ctx -> join_token_holder h (rd ctx) (self ctx));
         apply =
           (fun ctx ->
-            let read = rd ctx and p = self ctx in
-            match max_by_id h (tpointing_witnesses h read p) with
-            | Some w -> ({ (me ctx) with ptr = (c read w).ptr }, tc ctx)
-            | None -> (me ctx, tc ctx)) };
+            let read = rd ctx in
+            match tpointing_nodes_max h read (self ctx) with
+            | -1 -> (me ctx, tc ctx)
+            | w -> ({ (me ctx) with ptr = (c read w).ptr }, tc ctx)) };
       { Model.label = "Step13";
         guard = (fun ctx -> max_to_free_edge h (rd ctx) (self ctx));
         apply =
@@ -279,10 +294,10 @@ end = struct
         guard = (fun ctx -> join_local_max h (rd ctx) (self ctx));
         apply =
           (fun ctx ->
-            let read = rd ctx and p = self ctx in
-            match max_by_id h (free_nodes h read p) with
-            | Some leader -> ({ (me ctx) with ptr = (c read leader).ptr }, tc ctx)
-            | None -> (me ctx, tc ctx)) };
+            let read = rd ctx in
+            match free_nodes_max h read (self ctx) with
+            | -1 -> (me ctx, tc ctx)
+            | leader -> ({ (me ctx) with ptr = (c read leader).ptr }, tc ctx)) };
       { Model.label = "Token2";
         guard =
           (fun ctx ->

@@ -68,11 +68,41 @@ end) : PARAMS = struct
         e rest
 end
 
-(* The professor with the maximum identifier in a vertex list (the paper
-   breaks symmetry with [max] over identifiers). *)
-let max_by_id h = function
-  | [] -> None
-  | v :: rest ->
-    Some (List.fold_left (fun best q -> if H.id h q > H.id h best then q else best) v rest)
+(* ---- guard vocabulary ----
 
-let members_list h e = Array.to_list (H.edge_members h e)
+   Guards are the inner loop of every tier (each priority scan evaluates
+   them backwards, §2.2), so they are written as loops over the hypergraph
+   that build no lists, tuples or options and compare only integers.  The
+   loops visit committees and members in the same order, and stop at the
+   same point, as the set-builder reading of the macros would: a guard's
+   read set (which the exact tables record) is the macro's. *)
+
+(* [P = Some e]. *)
+let points_to ptr e = match ptr with Some x -> x = e | None -> false
+
+let mem (x : int) xs =
+  let i = ref 0 in
+  while !i < Array.length xs && xs.(!i) <> x do incr i done;
+  !i < Array.length xs
+
+(* [e ∈ Ep]. *)
+let incident_to h p e = mem e (H.incident h p)
+
+(* The one of [best] and [q] with the larger identifier, where [best = -1]
+   stands for the empty set (the paper breaks symmetry with [max] over
+   identifiers). *)
+let max_id h best q = if best < 0 || H.id h q > H.id h best then q else best
+
+(* Every member [q] of [e], in order, passes [test read e q]. *)
+let all_members test h read e =
+  let ms = H.edge_members h e in
+  let i = ref 0 in
+  while !i < Array.length ms && test read e ms.(!i) do incr i done;
+  !i = Array.length ms
+
+(* Some committee [e ∈ Ep], in order, has {!all_members}. *)
+let exists_committee test h read p =
+  let es = H.incident h p in
+  let i = ref 0 in
+  while !i < Array.length es && not (all_members test h read es.(!i)) do incr i done;
+  !i < Array.length es

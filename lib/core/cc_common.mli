@@ -31,10 +31,33 @@ module Weighted_params (W : sig
   (** weight of a committee (edge id); larger = preferred *)
 end) : PARAMS
 
-val max_by_id : Snapcc_hypergraph.Hypergraph.t -> int list -> int option
-(** The professor with the maximum identifier in a vertex list (the paper
-    breaks symmetry with [max] over identifiers); [None] on the empty
-    list. *)
+(** {2 Guard vocabulary}
 
-val members_list : Snapcc_hypergraph.Hypergraph.t -> int -> int list
-(** Members of a committee, as a list. *)
+    Loops over the hypergraph that allocate nothing, for guards to build
+    the paper's macros from.  They visit committees in [Ep] order and
+    members in edge order, stopping where [Array.exists]/[Array.for_all]
+    would, so a guard keeps the read set of the macro it evaluates. *)
+
+val points_to : int option -> int -> bool
+(** [points_to ptr e] is [ptr = Some e], monomorphically. *)
+
+val mem : int -> int array -> bool
+(** [mem x xs]: [x] is an element of [xs]. *)
+
+val incident_to : Snapcc_hypergraph.Hypergraph.t -> int -> int -> bool
+(** [incident_to h p e] is [e ∈ Ep]. *)
+
+val max_id : Snapcc_hypergraph.Hypergraph.t -> int -> int -> int
+(** [max_id h best q]: whichever of [best] and [q] has the larger
+    identifier; [best = -1] stands for "none yet". *)
+
+val all_members :
+  ('r -> int -> int -> bool) -> Snapcc_hypergraph.Hypergraph.t -> 'r -> int -> bool
+(** [all_members test h read e]: [test read e q] holds for every member [q]
+    of committee [e].  Pass a named function as [test], not a closure over
+    locals, so that no closure is built per evaluation. *)
+
+val exists_committee :
+  ('r -> int -> int -> bool) -> Snapcc_hypergraph.Hypergraph.t -> 'r -> int -> bool
+(** [exists_committee test h read p]: some [e ∈ Ep] has
+    [all_members test h read e]. *)

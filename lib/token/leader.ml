@@ -26,38 +26,62 @@ let equal (a : t) b =
 
 (* Lexicographically minimal (lead, dist, parent) claim available to [p]:
    either root itself, or adopt a neighbor's claim at distance + 1, provided
-   the bound [dist + 1 < n] holds (ghost-leader elimination). *)
+   the bound [dist + 1 < n] holds (ghost-leader elimination).  A claim is
+   named by its parent: the neighbor [q] whose claim is adopted, or [-1]
+   for the root claim [(id p, 0, -1)] (see {!claim_lead}, {!claim_dist}).
+   Every neighbor is read. *)
 let candidate h read p =
   let n = H.n h in
-  let best = ref (H.id h p, 0, -1) in
-  Array.iter
-    (fun q ->
-      let sq : t = read q in
-      if sq.dist >= 0 && sq.dist + 1 < n then begin
-        let cand = (sq.lead, sq.dist + 1, q) in
-        let better (l1, d1, p1) (l2, d2, p2) =
-          l1 < l2 || (l1 = l2 && (d1 < d2 || (d1 = d2 && p1 < p2)))
-        in
-        (* prefer the self-root claim on full ties (it has par = -1 < q) *)
-        if better cand !best then best := cand
-      end)
-    (H.neighbors h p);
+  let nbrs = H.neighbors h p in
+  let best = ref (-1) and lead = ref (H.id h p) and dist = ref 0 in
+  for i = 0 to Array.length nbrs - 1 do
+    let q = nbrs.(i) in
+    let sq : t = read q in
+    if sq.dist >= 0 && sq.dist + 1 < n then begin
+      let l = sq.lead and d = sq.dist + 1 in
+      (* prefer the self-root claim on full ties (it has par = -1 < q) *)
+      if l < !lead || (l = !lead && (d < !dist || (d = !dist && q < !best))) then begin
+        best := q;
+        lead := l;
+        dist := d
+      end
+    end
+  done;
   !best
+
+let claim_lead h read p a = if a < 0 then H.id h p else (read a : t).lead
+let claim_dist read a = if a < 0 then 0 else (read a : t).dist + 1
+
+(* [q] is a tree child of [p] as [p] sees itself ([me]) *)
+let is_child p (me : t) (sq : t) =
+  sq.par = p && sq.lead = me.lead && sq.dist = me.dist + 1
 
 let computed_children h read p =
   let me : t = read p in
   Array.to_list (H.neighbors h p)
-  |> List.filter (fun q ->
-         let sq : t = read q in
-         sq.par = p && sq.lead = me.lead && sq.dist = me.dist + 1)
+  |> List.filter (fun q -> is_child p me (read q))
   |> Array.of_list
 
 let tree_ok h read p =
   let me : t = read p in
-  let l, d, a = candidate h read p in
-  me.lead = l && me.dist = d && me.par = a
+  let a = candidate h read p in
+  me.lead = claim_lead h read p a && me.dist = claim_dist read a && me.par = a
 
-let childs_ok h read p = (read p).childs = computed_children h read p
+(* [childs = computed_children], without building the list: every
+   neighbor is read, like [computed_children] *)
+let childs_ok h read p =
+  let me : t = read p in
+  let nbrs = H.neighbors h p in
+  let ok = ref true and k = ref 0 in
+  for i = 0 to Array.length nbrs - 1 do
+    let q = nbrs.(i) in
+    if is_child p me (read q) then begin
+      ok := !ok && !k < Array.length me.childs && me.childs.(!k) = q;
+      incr k
+    end
+  done;
+  !ok && !k = Array.length me.childs
+
 let stable h read = List.for_all (fun p -> tree_ok h read p && childs_ok h read p) (List.init (H.n h) Fun.id)
 
 let is_root h s ~self = s.dist = 0 && s.lead = H.id h self
@@ -133,8 +157,9 @@ let actions h : t Model.action list =
       guard = (fun ctx -> not (tree_ok h ctx.Model.read ctx.Model.self));
       apply =
         (fun ctx ->
-          let l, d, a = candidate h ctx.Model.read ctx.Model.self in
-          { (ctx.Model.read ctx.Model.self) with lead = l; dist = d; par = a }) };
+          let read = ctx.Model.read and p = ctx.Model.self in
+          let a = candidate h read p in
+          { (read p) with lead = claim_lead h read p a; dist = claim_dist read a; par = a }) };
   ]
 
 (** Standalone wrapper for testing stabilization in isolation. *)

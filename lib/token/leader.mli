@@ -18,11 +18,12 @@ type t = {
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
-val candidate :
-  Snapcc_hypergraph.Hypergraph.t -> (int -> t) -> int -> int * int * int
+val candidate : Snapcc_hypergraph.Hypergraph.t -> (int -> t) -> int -> int
 (** The lexicographically minimal [(lead, dist, par)] claim available to a
     process: its own self-root claim or a neighbor's claim at distance +1
-    (claims at distance [>= n] are ghosts and ignored). *)
+    (claims at distance [>= n] are ghosts and ignored).  The claim is named
+    by its [par]: the neighbor whose claim is adopted, or [-1] for the
+    self-root claim [(id, 0, -1)]. *)
 
 val computed_children :
   Snapcc_hypergraph.Hypergraph.t -> (int -> t) -> int -> int array

@@ -42,15 +42,12 @@ let nchildren (s : state) = Array.length s.le.Leader.childs
 let done_pos s = nchildren s + 1
 let is_local_root h ~self (s : state) = Leader.is_root h s.le ~self
 
-(* 1-based index of [child] in the parent's published list. *)
+(* 1-based index of [child] in the parent's published list, 0 if absent. *)
 let child_index (parent_state : state) ~child =
   let childs = parent_state.le.Leader.childs in
-  let rec find i =
-    if i >= Array.length childs then None
-    else if childs.(i) = child then Some (i + 1)
-    else find (i + 1)
-  in
-  find 0
+  let i = ref 0 in
+  while !i < Array.length childs && childs.(!i) <> child do incr i done;
+  if !i < Array.length childs then !i + 1 else 0
 
 (* The parent's pointer names [p]: the link of the legitimate chain. *)
 let engaged_ok h ~read p =
@@ -60,9 +57,8 @@ let engaged_ok h ~read p =
     let par = sp.le.Leader.par in
     if par < 0 || par >= H.n h || not (H.are_neighbors h p par) then false
     else
-      match child_index (read par) ~child:p with
-      | Some j -> ((read par) : state).pos = j
-      | None -> false
+      let j = child_index (read par) ~child:p in
+      j > 0 && ((read par) : state).pos = j
   end
 
 let has_token h ~read p =
@@ -75,21 +71,21 @@ let release h ~read p =
     { sp with pos = (if nchildren sp >= 1 then 1 else done_pos sp) }
   else sp
 
-(* The child currently visited, when valid. *)
+(* The child currently visited, when valid; -1 otherwise. *)
 let visited_child h ~read p =
   let sp : state = read p in
   if sp.pos >= 1 && sp.pos <= nchildren sp then begin
     let c = sp.le.Leader.childs.(sp.pos - 1) in
-    if c >= 0 && c < H.n h && H.are_neighbors h p c then Some c else None
+    if c >= 0 && c < H.n h && H.are_neighbors h p c then c else -1
   end
-  else None
+  else -1
 
 let child_done h ~read p =
-  match visited_child h ~read p with
-  | None -> false
-  | Some c ->
-    let sc : state = read c in
-    sc.pos = done_pos sc
+  let c = visited_child h ~read p in
+  c >= 0
+  &&
+  let sc : state = read c in
+  sc.pos = done_pos sc
 
 let internal_actions h : state Model.action list =
   let lift (a : Leader.t Model.action) =

@@ -1,0 +1,101 @@
+(* Golden outputs: digests of behaviour that must not move under a
+   refactoring of the guard code.
+
+   - The telemetry JSONL of monitored driver runs of CC1/CC2/CC3 on ring24,
+     fig1 and line3, from a random (corrupted) initial configuration, with a
+     corruption fault half-way through.  The trace records every selection,
+     firing, convene and verdict, so any change in which guard is enabled
+     shows up here.
+   - The [snapcc-tables v1] artifacts of CC1/CC2/CC3 over the tree token
+     layer on single2: every table entry packs the chosen action, its
+     successor and the read mask of the priority scan, so a guard that
+     reads a different set of processes shows up here even when it
+     returns the same value.
+
+   The expected digests live in [fixtures/golden-digests.txt], one
+   "<name> <md5 hex>" line per case.  A deliberate behaviour change updates
+   that file; the failure message prints the lines to put there. *)
+
+module Families = Snapcc_hypergraph.Families
+module H = Snapcc_hypergraph.Hypergraph
+module Daemon = Snapcc_runtime.Daemon
+module Workload = Snapcc_workload.Workload
+module Tele = Snapcc_telemetry
+module X = Snapcc_experiments.Algos
+
+let steps = 3000
+let fault_at = 1500
+
+let trace_digest (run : X.runner) h =
+  let buf = Buffer.create (1 lsl 20) in
+  let hub = Tele.Hub.create () in
+  Tele.Hub.add_sink hub (Tele.Sink.jsonl (Buffer.add_string buf));
+  let faults ~step =
+    if step = fault_at then List.init (max 1 (H.n h / 2)) (fun i -> 2 * i mod H.n h)
+    else []
+  in
+  ignore
+    (run.X.run ~seed:3 ~init:`Random ~faults ~telemetry:hub
+       ~daemon:(Daemon.random_subset ()) ~workload:(Workload.always_requesting h)
+       ~steps h);
+  Tele.Hub.close hub;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let tables_digest key h ~topo =
+  let entry = Option.get (Snapcc_mc.Systems.find key) in
+  let module S = (val entry.Snapcc_mc.Systems.make "tree") in
+  let module Tb = Snapcc_mc.Tables.Make (S) in
+  let p = Tb.to_portable ~algo:S.name ~topo (Tb.build h) in
+  let lines = Snapcc_statics.Artifact.to_lines p in
+  Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let topologies = [ "ring24"; "fig1"; "line3" ]
+
+let cases () =
+  let runs =
+    List.concat_map
+      (fun (run : X.runner) ->
+        List.map
+          (fun topo ->
+            let name = Printf.sprintf "trace-%s-%s" (String.lowercase_ascii run.X.label) topo in
+            (name, fun () -> trace_digest run (Families.by_name topo)))
+          topologies)
+      (X.paper_algorithms ())
+  in
+  let tables =
+    List.map
+      (fun key ->
+        ( Printf.sprintf "tables-%s-single2" key,
+          fun () -> tables_digest key (Families.single 2) ~topo:"single2" ))
+      [ "cc1"; "cc2"; "cc3" ]
+  in
+  runs @ tables
+
+let expected () =
+  let ic = open_in "fixtures/golden-digests.txt" in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | line -> (
+          match String.split_on_char ' ' (String.trim line) with
+          | [ name; hex ] -> go ((name, hex) :: acc)
+          | _ -> go acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
+let test_digests () =
+  let want = expected () in
+  let got = List.map (fun (name, f) -> (name, f ())) (cases ()) in
+  let bad =
+    List.filter (fun (name, hex) -> List.assoc_opt name want <> Some hex) got
+  in
+  if bad <> [] then
+    Alcotest.failf "golden digests differ for %s; the current outputs are:\n%s"
+      (String.concat ", " (List.map fst bad))
+      (String.concat "\n" (List.map (fun (n, h) -> n ^ " " ^ h) got))
+
+let suite =
+  [ ("golden", [ Alcotest.test_case "traces and tables digests" `Quick test_digests ]) ]
