@@ -16,6 +16,7 @@ type t = {
   convene_count : int array;
   participations : int array;
   sessions : session array;
+  meets_after : bool array;  (** [Obs.meets] on the current step's [after] *)
   telemetry : Snapcc_telemetry.Hub.t option;
 }
 
@@ -30,6 +31,7 @@ let create ?telemetry h ~initial =
     convene_count = Array.make (H.m h) 0;
     participations = Array.make (H.n h) 0;
     sessions;
+    meets_after = Array.make (H.m h) false;
     telemetry;
   }
 
@@ -43,21 +45,18 @@ let report t ~step ~rule detail =
 
 let edge_str t e = Format.asprintf "%a" (H.pp_edge t.h) e
 
-let check_exclusion t ~step after =
-  let meeting = Obs.meetings t.h after in
-  let rec pairs = function
-    | [] -> ()
-    | e :: rest ->
-      List.iter
-        (fun e' ->
-          if H.conflicting t.h e e' then
-            report t ~step ~rule:"exclusion"
-              (Printf.sprintf "conflicting committees %s and %s meet simultaneously"
-                 (edge_str t e) (edge_str t e')))
-        rest;
-      pairs rest
-  in
-  pairs meeting
+(* every pair [e < e'] of conflicting committees meeting in [after] *)
+let check_exclusion t ~step =
+  let m = H.m t.h in
+  for e = 0 to m - 1 do
+    if t.meets_after.(e) then
+      for e' = e + 1 to m - 1 do
+        if t.meets_after.(e') && H.conflicting t.h e e' then
+          report t ~step ~rule:"exclusion"
+            (Printf.sprintf "conflicting committees %s and %s meet simultaneously"
+               (edge_str t e) (edge_str t e'))
+      done
+  done
 
 let check_convene t ~step ~(before : Obs.t array) ~(after : Obs.t array) e =
   let members = H.edge_members t.h e in
@@ -119,9 +118,12 @@ let check_terminate t ~step ~request_out ~(before : Obs.t array) e =
   t.sessions.(e) <- Off
 
 let on_step t ~step ~request_out ~before ~after =
-  check_exclusion t ~step after;
   for e = 0 to H.m t.h - 1 do
-    let was = Obs.meets t.h before e and is = Obs.meets t.h after e in
+    t.meets_after.(e) <- Obs.meets t.h after e
+  done;
+  check_exclusion t ~step;
+  for e = 0 to H.m t.h - 1 do
+    let was = Obs.meets t.h before e and is = t.meets_after.(e) in
     if (not was) && is then check_convene t ~step ~before ~after e
     else if was && not is then check_terminate t ~step ~request_out ~before e
   done

@@ -75,14 +75,31 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
 
   let equal_state ((c1, t1) : state) (c2, t2) = c1 = c2 && T.equal_state t1 t2
 
-  (* [Token(p)]: input predicate evaluated on the token layer. *)
-  let token h read p = T.has_token h ~read:(fun q -> snd (read q)) p
-  let release h read p = T.release h ~read:(fun q -> snd (read q)) p
+  (* The token layer's view of a context, shared by [Token(p)] and the
+     lifted token-layer actions. *)
+  let tl = Model.lift ~get:snd ~set:(fun (cc, _) tc -> (cc, tc))
+
+  (* [Token(p)] outside a guard ([observe]) *)
+  let has_token h read p = T.has_token h ~read:(fun q -> snd (read q)) p
+  let release (ctx : state Model.ctx) =
+    T.release ctx.Model.h ~read:(Model.lower tl ctx).Model.read ctx.Model.self
   let c read p = fst (read p)
+  let me (ctx : state Model.ctx) = c ctx.Model.read ctx.Model.self
 
   (* ---- macros of Algorithm 1 ----
      Loops over the hypergraph (see {!Cc_common.exists_committee}); only
-     the statement of [Step21] builds the [FreeEdges] list. *)
+     the statement of [Step21] builds the [FreeEdges] list.  The macros
+     several guards of one scan share are memoized in the context, one
+     slot each: [Token], [Ready], [Meeting], [Correct] and [max(Cands)]. *)
+
+  let slot_token = 0
+  let slot_ready = 1
+  let slot_meeting = 2
+  let slot_correct = 3
+  let slot_cands = 4
+
+  let token_of ctx = T.token (Model.lower tl ctx)
+  let token ctx = Model.memo_bool ctx slot_token token_of
 
   let looking read _e q = (c read q).s = Looking
 
@@ -95,8 +112,9 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
   (* [max(Cands(p))]: the largest identifier of [TFreeNodes(p)], or of
      [FreeNodes(p)] when [TFreeNodes(p) = ∅]; [-1] when [FreeEdges(p) = ∅].
      Every committee of [p] is tested, like the macros. *)
-  let cands_max h read p =
-    let es = H.incident h p in
+  let cands_max_of (ctx : state Model.ctx) =
+    let h = ctx.Model.h and read = ctx.Model.read in
+    let es = H.incident h ctx.Model.self in
     let free = ref (-1) and tfree = ref (-1) in
     for i = 0 to Array.length es - 1 do
       if is_free_edge h read es.(i) then begin
@@ -110,6 +128,8 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
     done;
     if !tfree >= 0 then !tfree else !free
 
+  let cands_max ctx = Model.memo_int ctx slot_cands cands_max_of
+
   (* [ε ∈ FreeEdges(p)] for any committee [ε] *)
   let mem_free_edges h read p e = incident_to h p e && is_free_edge h read e
 
@@ -119,122 +139,120 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
     let cq = c read q in
     points_to cq.ptr e && (B.unchecked_ready || cq.s = Looking || cq.s = Waiting)
 
-  let ready h read p = exists_committee ready_member h read p
+  let ready_of (ctx : state Model.ctx) =
+    exists_committee ready_member ctx.Model.h ctx.Model.read ctx.Model.self
+
+  let ready ctx = Model.memo_bool ctx slot_ready ready_of
 
   (* [LocalMax(p)] (implies [FreeEdges(p) ≠ ∅]) *)
-  let local_max h read p = cands_max h read p = p
+  let local_max (ctx : state Model.ctx) = cands_max ctx = ctx.Model.self
 
-  let max_to_free_edge h read p =
-    local_max h read p
-    && (not (ready h read p))
-    && (match (c read p).ptr with None -> true | Some e -> not (mem_free_edges h read p e))
+  let max_to_free_edge (ctx : state Model.ctx) =
+    local_max ctx
+    && (not (ready ctx))
+    && (match (me ctx).ptr with
+        | None -> true
+        | Some e -> not (mem_free_edges ctx.Model.h ctx.Model.read ctx.Model.self e))
 
-  let join_local_max h read p =
-    let leader = cands_max h read p in
+  let join_local_max (ctx : state Model.ctx) =
+    let read = ctx.Model.read and p = ctx.Model.self in
+    let leader = cands_max ctx in
     leader >= 0 && leader <> p
-    && (not (ready h read p))
+    && (not (ready ctx))
     &&
     match (c read leader).ptr with
     | None -> false
-    | Some e -> (not (points_to (c read p).ptr e)) && mem_free_edges h read p e
+    | Some e -> (not (points_to (c read p).ptr e)) && mem_free_edges ctx.Model.h read p e
 
   let meeting_member read e q =
     let cq = c read q in
     points_to cq.ptr e && (cq.s = Waiting || cq.s = Done)
 
-  let meeting h read p = exists_committee meeting_member h read p
+  let meeting_of (ctx : state Model.ctx) =
+    exists_committee meeting_member ctx.Model.h ctx.Model.read ctx.Model.self
+
+  let meeting ctx = Model.memo_bool ctx slot_meeting meeting_of
 
   let left_member read e q =
     let cq = c read q in
     (not (points_to cq.ptr e)) || cq.s = Done
 
   (* the committee [Pp] is the only candidate: [Pp = ε] for one [ε] *)
-  let leave_meeting h read p =
-    match (c read p).ptr with
-    | Some e -> incident_to h p e && all_members left_member h read e
+  let leave_meeting (ctx : state Model.ctx) =
+    match (me ctx).ptr with
+    | Some e ->
+      incident_to ctx.Model.h ctx.Model.self e
+      && all_members left_member ctx.Model.h ctx.Model.read e
     | None -> false
 
-  let useless h read p =
-    token h read p
+  let useless ctx =
+    token ctx
     &&
-    let cp = c read p in
-    cp.s = Idle || (cp.s = Looking && cands_max h read p < 0)
+    let cp = me ctx in
+    cp.s = Idle || (cp.s = Looking && cands_max ctx < 0)
 
-  let correct h ~read p =
-    let cp = c read p in
+  let correct_of ctx =
+    let cp = me ctx in
     (cp.s <> Idle || Option.is_none cp.ptr)
-    && (cp.s <> Waiting || ready h read p || meeting h read p)
-    && (cp.s <> Done || meeting h read p || leave_meeting h read p)
+    && (cp.s <> Waiting || ready ctx || meeting ctx)
+    && (cp.s <> Done || meeting ctx || leave_meeting ctx)
+
+  let correct_ctx ctx = Model.memo_bool ctx slot_correct correct_of
+
+  let correct h ~read p = correct_ctx (Model.make_ctx h ~inputs:Model.no_inputs ~read p)
 
   (* ---- actions, in the paper's code order (last = highest priority) ---- *)
 
   let cc_actions h : state Model.action list =
-    let rd (ctx : state Model.ctx) = ctx.Model.read in
     let self (ctx : state Model.ctx) = ctx.Model.self in
-    let me ctx = c (rd ctx) (self ctx) in
     let tc ctx = snd (ctx.Model.read ctx.Model.self) in
     [ { Model.label = "Step1";
         guard = (fun ctx -> ctx.Model.inputs.Model.request_in (self ctx) && (me ctx).s = Idle);
         apply = (fun ctx -> ({ (me ctx) with s = Looking; ptr = None }, tc ctx)) };
       { Model.label = "Step21";
-        guard = (fun ctx -> max_to_free_edge h (rd ctx) (self ctx));
+        guard = max_to_free_edge;
         apply =
           (fun ctx ->
-            let e = P.choose_edge h (free_edges h (rd ctx) (self ctx)) in
+            let e = P.choose_edge h (free_edges h ctx.Model.read (self ctx)) in
             ({ (me ctx) with ptr = Some e }, tc ctx)) };
       { Model.label = "Step22";
-        guard = (fun ctx -> join_local_max h (rd ctx) (self ctx));
+        guard = join_local_max;
         apply =
           (fun ctx ->
-            let read = rd ctx in
-            match cands_max h read (self ctx) with
+            match cands_max ctx with
             | -1 -> (me ctx, tc ctx)
-            | leader -> ({ (me ctx) with ptr = (c read leader).ptr }, tc ctx)) };
+            | leader -> ({ (me ctx) with ptr = (c ctx.Model.read leader).ptr }, tc ctx)) };
       { Model.label = "Token1";
-        guard = (fun ctx -> token h (rd ctx) (self ctx) <> (me ctx).tf);
-        apply = (fun ctx -> ({ (me ctx) with tf = token h (rd ctx) (self ctx) }, tc ctx)) };
+        guard = (fun ctx -> token ctx <> (me ctx).tf);
+        apply = (fun ctx -> ({ (me ctx) with tf = token ctx }, tc ctx)) };
       { Model.label = "Token2";
-        guard = (fun ctx -> useless h (rd ctx) (self ctx));
-        apply =
-          (fun ctx ->
-            ({ (me ctx) with tf = false }, release h (rd ctx) (self ctx))) };
+        guard = useless;
+        apply = (fun ctx -> ({ (me ctx) with tf = false }, release ctx)) };
       { Model.label = "Step31";
-        guard = (fun ctx -> ready h (rd ctx) (self ctx) && (me ctx).s = Looking);
+        guard = (fun ctx -> ready ctx && (me ctx).s = Looking);
         apply = (fun ctx -> ({ (me ctx) with s = Waiting }, tc ctx)) };
       { Model.label = "Step32";
-        guard = (fun ctx -> meeting h (rd ctx) (self ctx) && (me ctx).s = Waiting);
+        guard = (fun ctx -> meeting ctx && (me ctx).s = Waiting);
         apply =
           (fun ctx ->
             (* 〈EssentialDiscussion〉 then Sp := done *)
             ({ (me ctx) with s = Done; disc = (me ctx).disc + 1 }, tc ctx)) };
       { Model.label = "Step4";
         guard =
-          (fun ctx ->
-            leave_meeting h (rd ctx) (self ctx)
-            && ctx.Model.inputs.Model.request_out (self ctx));
+          (fun ctx -> leave_meeting ctx && ctx.Model.inputs.Model.request_out (self ctx));
         apply =
           (fun ctx ->
-            let tc' =
-              if token h (rd ctx) (self ctx) then release h (rd ctx) (self ctx)
-              else tc ctx
-            in
+            let tc' = if token ctx then release ctx else tc ctx in
             ({ (me ctx) with s = Idle; ptr = None; tf = false }, tc')) };
     ]
 
-  let stab_actions h : state Model.action list =
-    let rd (ctx : state Model.ctx) = ctx.Model.read in
-    let self (ctx : state Model.ctx) = ctx.Model.self in
-    let me ctx = c (rd ctx) (self ctx) in
+  let stab_actions _h : state Model.action list =
     let tc ctx = snd (ctx.Model.read ctx.Model.self) in
     [ { Model.label = "Stab1";
-        guard =
-          (fun ctx ->
-            (not (correct h ~read:(rd ctx) (self ctx))) && (me ctx).s = Idle);
+        guard = (fun ctx -> (not (correct_ctx ctx)) && (me ctx).s = Idle);
         apply = (fun ctx -> ({ (me ctx) with ptr = None }, tc ctx)) };
       { Model.label = "Stab2";
-        guard =
-          (fun ctx ->
-            (not (correct h ~read:(rd ctx) (self ctx))) && (me ctx).s <> Idle);
+        guard = (fun ctx -> (not (correct_ctx ctx)) && (me ctx).s <> Idle);
         apply = (fun ctx -> ({ (me ctx) with s = Looking; ptr = None }, tc ctx)) };
     ]
 
@@ -244,8 +262,9 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
      priority — after at most one round every process is Correct forever
      (Corollary 3). *)
   let actions h =
-    let lift = Model.lift_action ~get:snd ~set:(fun (cc, _) tc -> (cc, tc)) in
-    let all = cc_actions h @ List.map lift (T.internal_actions h) @ stab_actions h in
+    let all =
+      cc_actions h @ List.map (Model.lift_action tl) (T.internal_actions h) @ stab_actions h
+    in
     if B.invert_priorities then List.rev all else all
 
   let init h =
@@ -268,7 +287,7 @@ module Make_gen (T : Snapcc_token.Layer.S) (P : PARAMS) (B : BREAK) :
   let observe h states p =
     let read = Array.get states in
     let cp = c read p in
-    Obs.make ~pointer:cp.ptr ~token_flag:cp.tf ~has_token:(token h read p)
+    Obs.make ~pointer:cp.ptr ~token_flag:cp.tf ~has_token:(has_token h read p)
       ~discussions:cp.disc
       (to_obs_status cp.s)
 end

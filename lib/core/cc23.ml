@@ -95,13 +95,33 @@ end = struct
 
   let equal_state ((c1, t1) : state) (c2, t2) = c1 = c2 && T.equal_state t1 t2
 
-  let token h read p = T.has_token h ~read:(fun q -> snd (read q)) p
-  let release h read p = T.release h ~read:(fun q -> snd (read q)) p
+  (* The token layer's view of a context, shared by [Token(p)] and the
+     lifted token-layer actions. *)
+  let tl = Model.lift ~get:snd ~set:(fun (cc, _) tc -> (cc, tc))
+
+  (* [Token(p)] outside a guard ([observe]) *)
+  let has_token h read p = T.has_token h ~read:(fun q -> snd (read q)) p
+  let release (ctx : state Model.ctx) =
+    T.release ctx.Model.h ~read:(Model.lower tl ctx).Model.read ctx.Model.self
   let c read p = fst (read p)
+  let me (ctx : state Model.ctx) = c ctx.Model.read ctx.Model.self
 
   (* ---- macros of Algorithm 2 ----
      Loops over the hypergraph (see {!Cc_common.exists_committee}); only
-     the statements of [Step11] and [Step13] build candidate lists. *)
+     the statements of [Step11] and [Step13] build candidate lists.  The
+     macros several guards of one scan share are memoized in the context,
+     one slot each: [Token], [Ready], [Meeting], [max(TPointingNodes)]
+     (hence [Locked]), [max(FreeNodes)] and [Correct]. *)
+
+  let slot_token = 0
+  let slot_ready = 1
+  let slot_meeting = 2
+  let slot_tpointing = 3
+  let slot_free_nodes = 4
+  let slot_correct = 5
+
+  let token_of ctx = T.token (Model.lower tl ctx)
+  let token ctx = Model.memo_bool ctx slot_token token_of
 
   let free_member read _e q =
     let cq = c read q in
@@ -118,8 +138,9 @@ end = struct
 
   (* [max(FreeNodes(p))], [-1] when [FreeEdges(p) = ∅].  Every committee
      of [p] is tested, like the macro. *)
-  let free_nodes_max h read p =
-    let es = H.incident h p in
+  let free_nodes_max_of (ctx : state Model.ctx) =
+    let h = ctx.Model.h and read = ctx.Model.read in
+    let es = H.incident h ctx.Model.self in
     let best = ref (-1) in
     for i = 0 to Array.length es - 1 do
       if is_free_edge h read es.(i) then begin
@@ -131,6 +152,8 @@ end = struct
     done;
     !best
 
+  let free_nodes_max ctx = Model.memo_int ctx slot_free_nodes free_nodes_max_of
+
   (* token-pointing witness of [ε]: a member visibly claiming [ε] with the
      token *)
   let tpointing read e q =
@@ -140,8 +163,9 @@ end = struct
   (* [max(TPointingNodes(p))] over the witnesses among the members of
      committees incident to [p]; [-1] when there is none.  Reads every
      member of every committee of [p], like the macro. *)
-  let tpointing_nodes_max h read p =
-    let es = H.incident h p in
+  let tpointing_nodes_max_of (ctx : state Model.ctx) =
+    let h = ctx.Model.h and read = ctx.Model.read in
+    let es = H.incident h ctx.Model.self in
     let best = ref (-1) in
     for i = 0 to Array.length es - 1 do
       let ms = H.edge_members h es.(i) in
@@ -150,6 +174,8 @@ end = struct
       done
     done;
     !best
+
+  let tpointing_nodes_max ctx = Model.memo_int ctx slot_tpointing tpointing_nodes_max_of
 
   (* [ε ∈ TPointingEdges(p)]: a witness points at [ε ∈ Ep] *)
   let mem_tpointing_edges h read p e =
@@ -169,181 +195,178 @@ end = struct
   (* ---- predicates of Algorithm 2 ---- *)
 
   (* [TPointingEdges(p) ≠ ∅] *)
-  let locked_pred h read p = tpointing_nodes_max h read p >= 0
+  let locked_pred ctx = tpointing_nodes_max ctx >= 0
 
   let ready_member read e q =
     let cq = c read q in
     points_to cq.ptr e && (cq.s = Looking || cq.s = Waiting)
 
-  let ready h read p = exists_committee ready_member h read p
+  let ready_of (ctx : state Model.ctx) =
+    exists_committee ready_member ctx.Model.h ctx.Model.read ctx.Model.self
+
+  let ready ctx = Model.memo_bool ctx slot_ready ready_of
 
   let meeting_member read e q =
     let cq = c read q in
     points_to cq.ptr e && (cq.s = Waiting || cq.s = Done)
 
-  let meeting h read p = exists_committee meeting_member h read p
+  let meeting_of (ctx : state Model.ctx) =
+    exists_committee meeting_member ctx.Model.h ctx.Model.read ctx.Model.self
+
+  let meeting ctx = Model.memo_bool ctx slot_meeting meeting_of
 
   let left_member read e q =
     let cq = c read q in
     (not (points_to cq.ptr e)) || cq.s <> Waiting
 
   (* the committee [Pp] is the only candidate: [Pp = ε] for one [ε] *)
-  let leave_meeting h read p =
-    let cp = c read p in
+  let leave_meeting (ctx : state Model.ctx) =
+    let cp = me ctx in
     match cp.ptr with
-    | Some e -> cp.s = Done && incident_to h p e && all_members left_member h read e
+    | Some e ->
+      cp.s = Done
+      && incident_to ctx.Model.h ctx.Model.self e
+      && all_members left_member ctx.Model.h ctx.Model.read e
     | None -> false
 
   (* [LocalMax(p)] (implies [FreeEdges(p) ≠ ∅]) *)
-  let local_max h read p = free_nodes_max h read p = p
+  let local_max (ctx : state Model.ctx) = free_nodes_max ctx = ctx.Model.self
 
-  let max_to_free_edge h read p =
+  let max_to_free_edge (ctx : state Model.ctx) =
     V.non_token_convening
-    && (not (token h read p))
-    && (not (locked_pred h read p))
-    && local_max h read p
-    && (not (ready h read p))
-    && (match (c read p).ptr with
+    && (not (token ctx))
+    && (not (locked_pred ctx))
+    && local_max ctx
+    && (not (ready ctx))
+    && (match (me ctx).ptr with
         | None -> true
-        | Some e -> not (mem_free_edges h read p e))
+        | Some e -> not (mem_free_edges ctx.Model.h ctx.Model.read ctx.Model.self e))
 
-  let join_local_max h read p =
+  let join_local_max (ctx : state Model.ctx) =
     V.non_token_convening
-    && (not (token h read p))
-    && (not (locked_pred h read p))
+    && (not (token ctx))
+    && (not (locked_pred ctx))
     &&
-    let leader = free_nodes_max h read p in
+    let read = ctx.Model.read and p = ctx.Model.self in
+    let leader = free_nodes_max ctx in
     leader >= 0 && leader <> p
-    && (not (ready h read p))
+    && (not (ready ctx))
     &&
     match (c read leader).ptr with
     | None -> false
-    | Some e -> (not (points_to (c read p).ptr e)) && mem_free_edges h read p e
+    | Some e -> (not (points_to (c read p).ptr e)) && mem_free_edges ctx.Model.h read p e
 
-  let token_holder_to_edge h read p =
-    token h read p
-    && (c read p).s = Looking
-    && (not (ready h read p))
+  let token_holder_to_edge (ctx : state Model.ctx) =
+    token ctx
+    && (me ctx).s = Looking
+    && (not (ready ctx))
     &&
-    if V.committee_fair then not (points_to (c read p).ptr (sequential_edge h read p))
+    let h = ctx.Model.h and p = ctx.Model.self in
+    if V.committee_fair then not (points_to (me ctx).ptr (sequential_edge h ctx.Model.read p))
     else
-      match (c read p).ptr with
+      match (me ctx).ptr with
       | None -> true
       | Some e -> not (mem e (H.min_edges h p))
 
-  let join_token_holder h read p =
-    (not (token h read p))
-    && (c read p).s = Looking
-    && (not (ready h read p))
-    && locked_pred h read p
-    && (match (c read p).ptr with
+  let join_token_holder (ctx : state Model.ctx) =
+    (not (token ctx))
+    && (me ctx).s = Looking
+    && (not (ready ctx))
+    && locked_pred ctx
+    && (match (me ctx).ptr with
         | None -> true
-        | Some e -> not (mem_tpointing_edges h read p e))
+        | Some e -> not (mem_tpointing_edges ctx.Model.h ctx.Model.read ctx.Model.self e))
 
   (* CC1's Useless predicate transplanted for the eager-release ablation:
      no incident committee has all its members looking. *)
   let looking read _e q = (c read q).s = Looking
 
-  let useless h read p =
-    token h read p
-    && (c read p).s = Looking
-    && not (exists_committee looking h read p)
+  let useless (ctx : state Model.ctx) =
+    token ctx
+    && (me ctx).s = Looking
+    && not (exists_committee looking ctx.Model.h ctx.Model.read ctx.Model.self)
 
-  let correct h ~read p =
-    let cp = c read p in
-    (cp.s <> Waiting || ready h read p || meeting h read p)
-    && (cp.s <> Done || meeting h read p || leave_meeting h read p)
+  let correct_of ctx =
+    let cp = me ctx in
+    (cp.s <> Waiting || ready ctx || meeting ctx)
+    && (cp.s <> Done || meeting ctx || leave_meeting ctx)
 
-  let locked h ~read p = locked_pred h read p
+  let correct_ctx ctx = Model.memo_bool ctx slot_correct correct_of
+
+  let correct h ~read p = correct_ctx (Model.make_ctx h ~inputs:Model.no_inputs ~read p)
+  let locked h ~read p = locked_pred (Model.make_ctx h ~inputs:Model.no_inputs ~read p)
 
   (* ---- actions, in the paper's code order (last = highest priority) ---- *)
 
   let cc_actions h : state Model.action list =
-    let rd (ctx : state Model.ctx) = ctx.Model.read in
     let self (ctx : state Model.ctx) = ctx.Model.self in
-    let me ctx = c (rd ctx) (self ctx) in
     let tc ctx = snd (ctx.Model.read ctx.Model.self) in
     [ { Model.label = "Lock";
-        guard = (fun ctx -> locked_pred h (rd ctx) (self ctx) <> (me ctx).lk);
-        apply =
-          (fun ctx -> ({ (me ctx) with lk = locked_pred h (rd ctx) (self ctx) }, tc ctx)) };
+        guard = (fun ctx -> locked_pred ctx <> (me ctx).lk);
+        apply = (fun ctx -> ({ (me ctx) with lk = locked_pred ctx }, tc ctx)) };
       { Model.label = "Step11";
-        guard = (fun ctx -> token_holder_to_edge h (rd ctx) (self ctx));
+        guard = token_holder_to_edge;
         apply =
           (fun ctx ->
             let e =
-              if V.committee_fair then sequential_edge h (rd ctx) (self ctx)
+              if V.committee_fair then sequential_edge h ctx.Model.read (self ctx)
               else P.choose_edge h (Array.to_list (H.min_edges h (self ctx)))
             in
             ({ (me ctx) with ptr = Some e }, tc ctx)) };
       { Model.label = "Step12";
-        guard = (fun ctx -> join_token_holder h (rd ctx) (self ctx));
+        guard = join_token_holder;
         apply =
           (fun ctx ->
-            let read = rd ctx in
-            match tpointing_nodes_max h read (self ctx) with
+            match tpointing_nodes_max ctx with
             | -1 -> (me ctx, tc ctx)
-            | w -> ({ (me ctx) with ptr = (c read w).ptr }, tc ctx)) };
+            | w -> ({ (me ctx) with ptr = (c ctx.Model.read w).ptr }, tc ctx)) };
       { Model.label = "Step13";
-        guard = (fun ctx -> max_to_free_edge h (rd ctx) (self ctx));
+        guard = max_to_free_edge;
         apply =
           (fun ctx ->
-            let e = P.choose_edge h (free_edges h (rd ctx) (self ctx)) in
+            let e = P.choose_edge h (free_edges h ctx.Model.read (self ctx)) in
             ({ (me ctx) with ptr = Some e }, tc ctx)) };
       { Model.label = "Step14";
-        guard = (fun ctx -> join_local_max h (rd ctx) (self ctx));
+        guard = join_local_max;
         apply =
           (fun ctx ->
-            let read = rd ctx in
-            match free_nodes_max h read (self ctx) with
+            match free_nodes_max ctx with
             | -1 -> (me ctx, tc ctx)
-            | leader -> ({ (me ctx) with ptr = (c read leader).ptr }, tc ctx)) };
+            | leader -> ({ (me ctx) with ptr = (c ctx.Model.read leader).ptr }, tc ctx)) };
       { Model.label = "Token2";
-        guard =
-          (fun ctx ->
-            V.release_when_useless && useless h (rd ctx) (self ctx));
-        apply =
-          (fun ctx -> ({ (me ctx) with tf = false }, release h (rd ctx) (self ctx))) };
+        guard = (fun ctx -> V.release_when_useless && useless ctx);
+        apply = (fun ctx -> ({ (me ctx) with tf = false }, release ctx)) };
       { Model.label = "Token";
-        guard = (fun ctx -> token h (rd ctx) (self ctx) <> (me ctx).tf);
-        apply = (fun ctx -> ({ (me ctx) with tf = token h (rd ctx) (self ctx) }, tc ctx)) };
+        guard = (fun ctx -> token ctx <> (me ctx).tf);
+        apply = (fun ctx -> ({ (me ctx) with tf = token ctx }, tc ctx)) };
       { Model.label = "Step2";
-        guard = (fun ctx -> ready h (rd ctx) (self ctx) && (me ctx).s = Looking);
+        guard = (fun ctx -> ready ctx && (me ctx).s = Looking);
         apply = (fun ctx -> ({ (me ctx) with s = Waiting }, tc ctx)) };
       { Model.label = "Step3";
-        guard = (fun ctx -> meeting h (rd ctx) (self ctx) && (me ctx).s = Waiting);
+        guard = (fun ctx -> meeting ctx && (me ctx).s = Waiting);
         apply =
           (fun ctx -> ({ (me ctx) with s = Done; disc = (me ctx).disc + 1 }, tc ctx)) };
       { Model.label = "Step4";
         guard =
-          (fun ctx ->
-            leave_meeting h (rd ctx) (self ctx)
-            && ctx.Model.inputs.Model.request_out (self ctx));
+          (fun ctx -> leave_meeting ctx && ctx.Model.inputs.Model.request_out (self ctx));
         apply =
           (fun ctx ->
-            let tc' =
-              if token h (rd ctx) (self ctx) then release h (rd ctx) (self ctx)
-              else tc ctx
-            in
+            let tc' = if token ctx then release ctx else tc ctx in
             let cur = if V.committee_fair then (me ctx).cur + 1 else (me ctx).cur in
             ({ (me ctx) with s = Looking; ptr = None; tf = false; cur }, tc')) };
     ]
 
-  let stab_actions h : state Model.action list =
-    let rd (ctx : state Model.ctx) = ctx.Model.read in
-    let self (ctx : state Model.ctx) = ctx.Model.self in
-    let me ctx = c (rd ctx) (self ctx) in
+  let stab_actions _h : state Model.action list =
     let tc ctx = snd (ctx.Model.read ctx.Model.self) in
     [ { Model.label = "Stab";
-        guard = (fun ctx -> not (correct h ~read:(rd ctx) (self ctx)));
+        guard = (fun ctx -> not (correct_ctx ctx));
         apply = (fun ctx -> ({ (me ctx) with s = Looking; ptr = None }, tc ctx)) };
     ]
 
   (* Fair composition by priorities: token-layer internals above the routine
      committee actions, Stab on top (Corollary 5: Correct within a round). *)
   let actions h =
-    let lift = Model.lift_action ~get:snd ~set:(fun (cc, _) tc -> (cc, tc)) in
-    cc_actions h @ List.map lift (T.internal_actions h) @ stab_actions h
+    cc_actions h @ List.map (Model.lift_action tl) (T.internal_actions h) @ stab_actions h
 
   let init h =
     let tc_init = T.init h in
@@ -370,7 +393,7 @@ end = struct
     let read = Array.get states in
     let cp = c read p in
     Obs.make ~pointer:cp.ptr ~token_flag:cp.tf ~locked:cp.lk
-      ~has_token:(token h read p) ~discussions:cp.disc
+      ~has_token:(has_token h read p) ~discussions:cp.disc
       (to_obs_status cp.s)
 end
 

@@ -62,22 +62,23 @@ module Make (A : Model.ALGO) = struct
     let spec = Spec.create ?telemetry h ~initial in
     let metrics = Metrics.create ?telemetry h ~initial in
     let trace = if record_trace then Some (Trace.create h ~initial) else None in
+    (* events are built only when a hub listens *)
     let emit ev =
-      match telemetry with Some hub -> Tele.Hub.emit hub ev | None -> ()
+      match telemetry with Some hub -> Tele.Hub.emit hub (ev ()) | None -> ()
     in
     let step_counter =
       Option.map (fun hub -> Tele.Registry.counter (Tele.Hub.registry hub) "steps")
         telemetry
     in
-    emit
-      (Tele.Event.Run_start
-         { algo = A.name;
-           daemon = Daemon.name daemon;
-           workload = Workload.name workload;
-           seed;
-           n = Snapcc_hypergraph.Hypergraph.n h;
-           m = Snapcc_hypergraph.Hypergraph.m h;
-           topo = Snapcc_hypergraph.Hypergraph_io.to_string h });
+    emit (fun () ->
+        Tele.Event.Run_start
+          { algo = A.name;
+            daemon = Daemon.name daemon;
+            workload = Workload.name workload;
+            seed;
+            n = Snapcc_hypergraph.Hypergraph.n h;
+            m = Snapcc_hypergraph.Hypergraph.m h;
+            topo = Snapcc_hypergraph.Hypergraph_io.to_string h });
     let outcome = ref `Steps_exhausted in
     let before = ref initial in
     let last_round = ref 0 in
@@ -94,8 +95,7 @@ module Make (A : Model.ALGO) = struct
                E.corrupt eng ~victims ();
                let corrupted = E.obs eng in
                Spec.on_fault spec corrupted;
-               emit
-                 (Tele.Event.Fault { step = E.steps_taken eng; victims });
+               emit (fun () -> Tele.Event.Fault { step = E.steps_taken eng; victims });
                awaiting_recover := true;
                (match trace with
                 | Some tr ->
@@ -126,22 +126,21 @@ module Make (A : Model.ALGO) = struct
             | Some _ ->
               Option.iter (fun c -> Tele.Registry.incr c) step_counter;
               let meetings = Obs.meetings h after in
-              emit
-                (Tele.Event.Step
-                   { step = report.Model.step;
-                     round = report.Model.round;
-                     selected = report.Model.selected;
-                     neutralized = report.Model.neutralized;
-                     meetings });
+              emit (fun () ->
+                  Tele.Event.Step
+                    { step = report.Model.step;
+                      round = report.Model.round;
+                      selected = report.Model.selected;
+                      neutralized = report.Model.neutralized;
+                      meetings });
               List.iter
                 (fun (p, label) ->
-                  emit (Tele.Event.Action { step = report.Model.step; p; label }))
+                  emit (fun () -> Tele.Event.Action { step = report.Model.step; p; label }))
                 report.Model.executed;
               Array.iteri
                 (fun p (o : Obs.t) ->
                   if o.Obs.has_token && not (!before).(p).Obs.has_token then
-                    emit
-                      (Tele.Event.Token_handoff { step = report.Model.step; p }))
+                    emit (fun () -> Tele.Event.Token_handoff { step = report.Model.step; p }))
                 after;
               if !awaiting_recover then (
                 match
@@ -149,7 +148,7 @@ module Make (A : Model.ALGO) = struct
                 with
                 | Some eid ->
                   awaiting_recover := false;
-                  emit (Tele.Event.Recover { step = report.Model.step; eid })
+                  emit (fun () -> Tele.Event.Recover { step = report.Model.step; eid })
                 | None -> ()));
            Spec.on_step spec ~step:report.Model.step
              ~request_out:inputs.Model.request_out ~before:!before ~after;
@@ -167,15 +166,15 @@ module Make (A : Model.ALGO) = struct
          end
        done
      with Exit -> ());
-    emit
-      (Tele.Event.Run_end
-         { outcome =
-             (match !outcome with
-              | `Terminal -> "terminal"
-              | `Stopped -> "stopped"
-              | `Steps_exhausted -> "steps_exhausted");
-           steps = E.steps_taken eng;
-           rounds = E.rounds eng });
+    emit (fun () ->
+        Tele.Event.Run_end
+          { outcome =
+              (match !outcome with
+               | `Terminal -> "terminal"
+               | `Stopped -> "stopped"
+               | `Steps_exhausted -> "steps_exhausted");
+            steps = E.steps_taken eng;
+            rounds = E.rounds eng });
     ( {
         algo = A.name;
         daemon = Daemon.name daemon;

@@ -208,13 +208,8 @@ module Make (Sys : System.S) = struct
           in
           if e >= 0 then out.(p) <- Tables.entry_succ e
           else if e = -2 then begin
-            let ctx = { Model.h; inputs; read; self = p } in
-            let rec scan i =
-              if i < 0 then -1
-              else if actions.(i).Model.guard ctx then i
-              else scan (i - 1)
-            in
-            let i = scan (nact - 1) in
+            let ctx = Model.make_ctx h ~inputs ~read p in
+            let i = Model.first_enabled actions ctx in
             if i >= 0 then
               out.(p) <- Enc.intern enc p (actions.(i).Model.apply ctx)
           end
@@ -367,13 +362,8 @@ module Make (Sys : System.S) = struct
             else begin
               (* no packed entry for this (process, configuration): run
                  the guard closures as usual *)
-              let ctx = { Model.h; inputs; read; self = p } in
-              let rec scan i =
-                if i < 0 then -1
-                else if actions.(i).Model.guard ctx then i
-                else scan (i - 1)
-              in
-              let i = scan (nact - 1) in
+              let ctx = Model.make_ctx h ~inputs ~read p in
+              let i = Model.first_enabled actions ctx in
               act_idx.(p) <- i;
               if i >= 0 then begin
                 enabled := !enabled lor (1 lsl p);

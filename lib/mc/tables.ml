@@ -62,6 +62,19 @@ type portable = {
   p_procs : (proc_tbl, string) result array;  (** [Error reason] = skipped *)
 }
 
+(* Guard masks (one bit per enabled action) to overlap counts, hashed in
+   OCaml: a cell-mode with two enabled actions is common, and the generic
+   [Hashtbl] hashes through a C call. *)
+module Mask_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash m =
+    let x = m * 0x9E3779B97F4A7C1 in
+    (x lxor (x lsr 29)) land max_int
+end)
+
 let bits_of_mask m =
   let rec go p m acc =
     if m = 0 then List.rev acc
@@ -174,7 +187,7 @@ module Make (Sys : System.S) = struct
     let rec attempt p support_mask =
       let l_guard_true = Array.make nact 0 in
       let l_incidents : (incident, int) Hashtbl.t = Hashtbl.create 8 in
-      let l_overlaps : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
+      let l_overlaps : int ref Mask_tbl.t = Mask_tbl.create 8 in
       let l_cells = ref 0 in
       let incident i =
         Hashtbl.replace l_incidents i
@@ -213,19 +226,22 @@ module Make (Sys : System.S) = struct
         Array.iteri (fun j q -> sts.(q) <- dom_states.(q).(ids.(j))) support;
         let reads = ref 0 in
         let input_read = ref false in
-        let cur_label = ref "" in
+        let cur_act = ref 0 in
         let read q =
           if support_mask land (1 lsl q) = 0 then raise (Need q);
           reads := !reads lor (1 lsl q);
           if neighbors_mask.(p) land (1 lsl q) = 0 then
-            incident (Nonlocal_read { proc = p; action = !cur_label; read = q });
+            incident (Nonlocal_read { proc = p; action = labels.(!cur_act); read = q });
           sts.(q)
         in
+        (* contexts without memo, one per mode: every guard and statement
+           call reads for itself, so read masks, input attribution and
+           [verify]'s re-evaluation are per call *)
         let ctxs =
           Array.map
             (fun (_, (base : Model.inputs)) ->
-              { Model.h;
-                inputs =
+              Model.make_ctx ~memo:false h
+                ~inputs:
                   { Model.request_in =
                       (fun q ->
                         input_read := true;
@@ -233,9 +249,8 @@ module Make (Sys : System.S) = struct
                     request_out =
                       (fun q ->
                         input_read := true;
-                        base.Model.request_out q) };
-                read;
-                self = p })
+                        base.Model.request_out q) }
+                ~read p)
             Model.input_modes
         in
         (* per-cell caches, indexed by action *)
@@ -248,7 +263,7 @@ module Make (Sys : System.S) = struct
         let eval_guard mode i =
           reads := 0;
           input_read := false;
-          cur_label := labels.(i);
+          cur_act := i;
           let g =
             match actions.(i).Model.guard ctxs.(mode) with
             | g -> g
@@ -279,7 +294,7 @@ module Make (Sys : System.S) = struct
         let eval_apply mode i =
           reads := 0;
           input_read := false;
-          cur_label := labels.(i);
+          cur_act := i;
           (match actions.(i).Model.apply ctxs.(mode) with
           | exception (Need _ as e) -> raise e
           | exception exn ->
@@ -324,9 +339,9 @@ module Make (Sys : System.S) = struct
             done;
             let mask = !mask in
             if mask <> 0 && mask land (mask - 1) <> 0 then begin
-              match Hashtbl.find_opt l_overlaps mask with
-              | Some (c, ex) -> Hashtbl.replace l_overlaps mask (c + 1, ex)
-              | None -> Hashtbl.replace l_overlaps mask (1, p)
+              match Mask_tbl.find l_overlaps mask with
+              | c -> incr c
+              | exception Not_found -> Mask_tbl.add l_overlaps mask (ref 1)
             end;
             incr l_cells;
             let chosen =
@@ -403,11 +418,11 @@ module Make (Sys : System.S) = struct
           Hashtbl.replace incidents i
             (c + Option.value ~default:0 (Hashtbl.find_opt incidents i)))
         l_incidents;
-      Hashtbl.iter
-        (fun m (c, ex) ->
+      Mask_tbl.iter
+        (fun m c ->
           match Hashtbl.find_opt overlaps m with
-          | Some (c0, ex0) -> Hashtbl.replace overlaps m (c0 + c, ex0)
-          | None -> Hashtbl.replace overlaps m (c, ex))
+          | Some (c0, ex0) -> Hashtbl.replace overlaps m (c0 + !c, ex0)
+          | None -> Hashtbl.replace overlaps m (!c, p))
         l_overlaps;
       cells := !cells + !l_cells
     and run_proc p support_mask =
@@ -512,8 +527,8 @@ module Make (Sys : System.S) = struct
           let ctxs =
             Array.map
               (fun (_, (base : Model.inputs)) ->
-                { Model.h;
-                  inputs =
+                Model.make_ctx ~memo:false h
+                  ~inputs:
                     { Model.request_in =
                         (fun q ->
                           input_read := true;
@@ -521,9 +536,8 @@ module Make (Sys : System.S) = struct
                       request_out =
                         (fun q ->
                           input_read := true;
-                          base.Model.request_out q) };
-                  read;
-                  self = p })
+                          base.Model.request_out q) }
+                  ~read p)
               Model.input_modes
           in
           let g_val = Array.make nact false in

@@ -290,9 +290,7 @@ module Make (A : Model.ALGO) = struct
         if e = -1 then None
         else if e >= 0 then begin
           let i = Model.entry_act e in
-          let ctx =
-            { Model.h = t.h; inputs; read = View.read t.views.(p); self = p }
-          in
+          let ctx = Model.make_ctx t.h ~inputs ~read:(View.read t.views.(p)) p in
           View.set_core t.views.(p) (t.actions.(i).Model.apply ctx);
           let id = Model.entry_succ e in
           pk.core_ids.(p) <- id;

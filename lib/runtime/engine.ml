@@ -138,21 +138,10 @@ module Make (A : Model.ALGO) = struct
       if t.check_locality then (fun q -> check_local t p q; t.states.(q))
       else Array.get t.states
     in
-    { Model.h = t.h; inputs; read; self = p }
-
-  (* Highest-priority enabled action index, -1 if none: the paper gives
-     priority to actions appearing later in the code (§2.2), hence the
-     backwards scan. *)
-  let first_enabled t ctx =
-    let rec scan i =
-      if i < 0 then -1
-      else if t.actions.(i).Model.guard ctx then i
-      else scan (i - 1)
-    in
-    scan (Array.length t.actions - 1)
+    Model.make_ctx t.h ~inputs ~read p
 
   let priority_action t ~inputs p =
-    match first_enabled t (ctx_for t ~inputs p) with -1 -> None | i -> Some i
+    match Model.first_enabled t.actions (ctx_for t ~inputs p) with -1 -> None | i -> Some i
 
   let enabled t ~inputs =
     List.filter
@@ -195,7 +184,7 @@ module Make (A : Model.ALGO) = struct
         register t p q;
         t.states.(q)
       in
-      t.act.(p) <- first_enabled t { Model.h = t.h; inputs; read; self = p };
+      t.act.(p) <- Model.first_enabled t.actions (Model.make_ctx t.h ~inputs ~read p);
       t.succ.(p) <- -1
 
   (* The pre-step enabled set, ascending like {!enabled} (so the daemon

@@ -13,11 +13,16 @@ let input_modes =
      ("in+out", { request_in = (fun _ -> true); request_out = (fun _ -> true) });
   |]
 
+type lowered = ..
+type lowered += Not_lowered
+
 type 'state ctx = {
   h : Snapcc_hypergraph.Hypergraph.t;
   inputs : inputs;
   read : int -> 'state;
   self : int;
+  memo : int array;
+  mutable lowered : lowered;
 }
 
 type 'state action = {
@@ -26,12 +31,82 @@ type 'state action = {
   apply : 'state ctx -> 'state;
 }
 
-let lift_action ~get ~set action =
-  let lower ctx = { h = ctx.h; inputs = ctx.inputs; read = (fun p -> get (ctx.read p)); self = ctx.self } in
+let unknown = min_int
+
+(* The memo is a literal, allocated inline (a context is made per process
+   scan); [[||]] is the static empty array: no memo. *)
+let make_ctx ?(memo = true) h ~inputs ~read self =
+  let u = unknown in
+  { h; inputs; read; self;
+    memo = (if memo then [| u; u; u; u; u; u; u; u |] else [||]);
+    lowered = Not_lowered }
+
+let[@inline] memo_int ctx slot f =
+  let m = ctx.memo in
+  if Array.length m = 0 then f ctx
+  else begin
+    let v = m.(slot) in
+    if v <> unknown then v
+    else begin
+      let v = f ctx in
+      m.(slot) <- v;
+      v
+    end
+  end
+
+let[@inline] memo_bool ctx slot f =
+  let m = ctx.memo in
+  if Array.length m = 0 then f ctx
+  else begin
+    let v = m.(slot) in
+    if v <> unknown then v <> 0
+    else begin
+      let b = f ctx in
+      m.(slot) <- Bool.to_int b;
+      b
+    end
+  end
+
+(* Highest-priority enabled action index, -1 if none: the paper gives
+   priority to actions appearing later in the code (§2.2), hence the
+   backwards scan. *)
+let first_enabled actions ctx =
+  let i = ref (Array.length actions - 1) in
+  while !i >= 0 && not (actions.(!i).guard ctx) do decr i done;
+  !i
+
+type ('outer, 'inner) lift = {
+  lower : 'outer ctx -> 'inner ctx;
+  set : 'outer -> 'inner -> 'outer;
+}
+
+(* The lowered context is cached in the outer one under a constructor
+   private to this lift, so every lifted guard of a scan, and the outer
+   layer's own calls into the inner one, share one inner context (and so
+   one inner memo, or none when the outer context has none). *)
+let lift (type o i) ~(get : o -> i) ~set : (o, i) lift =
+  let module L = struct type lowered += Lowered of i ctx end in
+  let lower (ctx : o ctx) =
+    match ctx.lowered with
+    | L.Lowered c -> c
+    | _ ->
+      let read = ctx.read in
+      let c =
+        make_ctx ~memo:(Array.length ctx.memo > 0) ctx.h ~inputs:ctx.inputs
+          ~read:(fun p -> get (read p)) ctx.self
+      in
+      ctx.lowered <- L.Lowered c;
+      c
+  in
+  { lower; set }
+
+let[@inline] lower l ctx = l.lower ctx
+
+let lift_action l action =
   {
     label = action.label;
-    guard = (fun ctx -> action.guard (lower ctx));
-    apply = (fun ctx -> set (ctx.read ctx.self) (action.apply (lower ctx)));
+    guard = (fun ctx -> action.guard (l.lower ctx));
+    apply = (fun ctx -> l.set (ctx.read ctx.self) (action.apply (l.lower ctx)));
   }
 
 module type ALGO = sig

@@ -27,11 +27,22 @@ val input_modes : (string * inputs) array
     ["in+out"].  Shared by the static analyzer ([lib/statics]) and the
     model checker ([lib/mc]) so their input coverage cannot drift apart. *)
 
-type 'state ctx = {
+type lowered
+(** The inner context a {!lift} caches in an outer one (opaque). *)
+
+(** One evaluation of [self] on one configuration: a snapshot.  Guards and
+    statements may memoize macros in it ({!memo_int}, {!memo_bool}), so a
+    context must not outlive the configuration [read] returns. *)
+type 'state ctx = private {
   h : Snapcc_hypergraph.Hypergraph.t;
   inputs : inputs;
   read : int -> 'state;  (** read a process state (self or neighbor only) *)
   self : int;
+  memo : int array;
+      (** 8 macro slots, [min_int] until computed; empty in a context
+          without memo.  Each layer numbers its memoized macros from 0 in
+          the contexts it is given (a lifted layer gets its own). *)
+  mutable lowered : lowered;
 }
 
 type 'state action = {
@@ -40,11 +51,45 @@ type 'state action = {
   apply : 'state ctx -> 'state;
 }
 
-val lift_action :
-  get:('outer -> 'inner) -> set:('outer -> 'inner -> 'outer) ->
-  'inner action -> 'outer action
-(** Embeds a component algorithm's action into a composed state (used for
-    the fair composition [CC ∘ TC]). *)
+val make_ctx :
+  ?memo:bool -> Snapcc_hypergraph.Hypergraph.t -> inputs:inputs -> read:(int -> 'state) ->
+  int -> 'state ctx
+(** A context for process [self] with an empty memo.  With [~memo:false] it
+    has none: every macro is computed at each use, as if each guard and
+    statement call had a fresh memo.  Per-guard analyzers (the exact
+    tables, the sampled lint) use such contexts, so that each call's reads
+    and input uses are its own and a re-evaluation really re-evaluates. *)
+
+val memo_int : 'state ctx -> int -> ('state ctx -> int) -> int
+(** [memo_int ctx slot f]: [f ctx], computed on the first call per context
+    and slot (at every call in a context without memo).  [f] must be a
+    function of the configuration and inputs the context sees, never
+    return [min_int], and be a closure that already exists (a function
+    defined once per layer), so a call allocates nothing. *)
+
+val memo_bool : 'state ctx -> int -> ('state ctx -> bool) -> bool
+(** {!memo_int} for a predicate. *)
+
+val first_enabled : 'state action array -> 'state ctx -> int
+(** The backwards priority scan of §2.2: the index of the highest-priority
+    (last-listed) action whose guard holds in [ctx], [-1] when none does.
+    Every guard of the scan sees the same context, hence the same memo.
+    The one scan over guard closures every tier runs. *)
+
+type ('outer, 'inner) lift
+(** An embedding of a component algorithm's state into a composed state
+    (the fair composition [CC ∘ TC]). *)
+
+val lift :
+  get:('outer -> 'inner) -> set:('outer -> 'inner -> 'outer) -> ('outer, 'inner) lift
+
+val lower : ('outer, 'inner) lift -> 'outer ctx -> 'inner ctx
+(** The component's view of an outer context: reads go through [get] (and
+    so through the outer [read]).  Built on the first call per outer
+    context and cached in it. *)
+
+val lift_action : ('outer, 'inner) lift -> 'inner action -> 'outer action
+(** Embeds a component action; its guard and statement run on {!lower}. *)
 
 module type ALGO = sig
   type state

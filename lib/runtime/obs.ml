@@ -68,12 +68,17 @@ let is_waiting o = match o.status with Looking | Waiting -> true | Idle | Done -
 let attends obs ~vertex ~eid =
   is_waiting obs.(vertex) && obs.(vertex).pointer = Some eid
 
+let meeting_member o eid =
+  (match o.pointer with Some e -> e = eid | None -> false)
+  && match o.status with Waiting | Done -> true | Idle | Looking -> false
+
+(* every member points at [eid] in status waiting or done; a loop, so the
+   monitors' per-step passes over the committees allocate nothing *)
 let meets h obs eid =
-  Array.for_all
-    (fun q ->
-      obs.(q).pointer = Some eid
-      && (match obs.(q).status with Waiting | Done -> true | Idle | Looking -> false))
-    (H.edge_members h eid)
+  let ms = H.edge_members h eid in
+  let i = ref 0 in
+  while !i < Array.length ms && meeting_member obs.(ms.(!i)) eid do incr i done;
+  !i = Array.length ms
 
 let meetings h obs =
   List.filter (meets h obs) (List.init (H.m h) Fun.id)

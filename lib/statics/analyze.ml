@@ -17,16 +17,11 @@ module Make (A : Model.ALGO) = struct
   (* Engine-style backwards priority scan, uninstrumented; [None] on a crash
      (the checking pass reports it). *)
   let priority_step h states inputs p actions =
-    let ctx = { Model.h; inputs; self = p; read = Array.get states } in
-    let rec scan i =
-      if i < 0 then None
-      else if actions.(i).Model.guard ctx then
-        Some (i, actions.(i).Model.apply ctx)
-      else scan (i - 1)
-    in
-    match scan (Array.length actions - 1) with
+    let ctx = Model.make_ctx h ~inputs ~read:(Array.get states) p in
+    match Model.first_enabled actions ctx with
     | exception _ -> None
-    | r -> r
+    | -1 -> None
+    | i -> ( match actions.(i).Model.apply ctx with exception _ -> None | s -> Some (i, s))
 
   let analyze ?(seed = 0) ?(seeds = 24) ?(max_configs = 240) ?(allow = [])
       ~topo h =
@@ -55,9 +50,11 @@ module Make (A : Model.ALGO) = struct
       let a = actions.(i) in
       let label = a.Model.label in
       let reads = ref IntSet.empty in
+      (* no memo: each guard and statement call reads for itself, and a
+         re-evaluation really re-evaluates *)
       let ctx =
-        { Model.h; inputs; self = p;
-          read = (fun q -> reads := IntSet.add q !reads; states.(q)) }
+        Model.make_ctx ~memo:false h ~inputs
+          ~read:(fun q -> reads := IntSet.add q !reads; states.(q)) p
       in
       incr evals;
       let enabled, result =

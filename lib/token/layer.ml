@@ -30,6 +30,11 @@ module type S = sig
     Snapcc_hypergraph.Hypergraph.t -> read:(int -> state) -> int -> bool
   (** [Token(p)].  Only reads the states of [p] and of its neighbors. *)
 
+  val token : state Snapcc_runtime.Model.ctx -> bool
+  (** [has_token] of the context's process, as a guard evaluates it: a
+      layer may memoize it, and the macros it shares with its internal
+      guards, in the context. *)
+
   val release :
     Snapcc_hypergraph.Hypergraph.t -> read:(int -> state) -> int -> state
   (** [ReleaseToken(p)]: the emulated action [T].  New local state of [p];
@@ -88,7 +93,7 @@ struct
      child list) could starve the stabilization layer. *)
   let actions h =
     { Model.label = "T";
-      guard = (fun ctx -> T.has_token h ~read:ctx.Model.read ctx.Model.self);
+      guard = T.token;
       apply = (fun ctx -> T.release h ~read:ctx.Model.read ctx.Model.self) }
     :: T.internal_actions h
 

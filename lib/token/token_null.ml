@@ -14,6 +14,7 @@ let equal_state () () = true
 let init _ _ = ()
 let random_init _ _ _ = ()
 let has_token _ ~read:_ _ = false
+let token _ = false
 let release _ ~read:_ _ = ()
 let internal_actions _ : state Model.action list = []
 let domain _ _ = [ () ]

@@ -65,6 +65,19 @@ let has_token h ~read p =
   let sp : state = read p in
   sp.pos = 0 && engaged_ok h ~read p
 
+(* [engaged_ok] and [Token(p)] of a context, memoized in it: [TC-take],
+   [TC-abort] and the composed layer's [Token(p)] share one evaluation per
+   scan. *)
+let slot_engaged = 0
+let slot_token = 1
+
+let engaged_of (ctx : state Model.ctx) =
+  engaged_ok ctx.Model.h ~read:ctx.Model.read ctx.Model.self
+
+let engaged ctx = Model.memo_bool ctx slot_engaged engaged_of
+let token_of (ctx : state Model.ctx) = (ctx.Model.read ctx.Model.self).pos = 0 && engaged ctx
+let token ctx = Model.memo_bool ctx slot_token token_of
+
 let release h ~read p =
   let sp : state = read p in
   if has_token h ~read p then
@@ -88,8 +101,8 @@ let child_done h ~read p =
   sc.pos = done_pos sc
 
 let internal_actions h : state Model.action list =
-  let lift (a : Leader.t Model.action) =
-    Model.lift_action ~get:(fun s -> s.le) ~set:(fun s le -> { s with le }) a
+  let lift =
+    Model.lift_action (Model.lift ~get:(fun s -> s.le) ~set:(fun s le -> { s with le }))
   in
   let rd (ctx : state Model.ctx) = ctx.Model.read in
   let self (ctx : state Model.ctx) = ctx.Model.self in
@@ -101,7 +114,7 @@ let internal_actions h : state Model.action list =
           let sp = me ctx in
           (not (is_local_root h ~self:(self ctx) sp))
           && sp.pos = -1
-          && engaged_ok h ~read:(rd ctx) (self ctx));
+          && engaged ctx);
       apply = (fun ctx -> { (me ctx) with pos = 0 }) };
     (* feedback received: move the wave to the next child / to done *)
     { Model.label = "TC-advance";
@@ -123,7 +136,7 @@ let internal_actions h : state Model.action list =
           let sp = me ctx in
           (not (is_local_root h ~self:(self ctx) sp))
           && sp.pos <> -1
-          && not (engaged_ok h ~read:(rd ctx) (self ctx)));
+          && not (engaged ctx));
       apply = (fun ctx -> { (me ctx) with pos = -1 }) };
     (* out-of-range positions (transient faults, child-list changes) *)
     { Model.label = "TC-clamp";

@@ -31,6 +31,8 @@ let has_token h ~read p =
   let vp = value h read p and vq = value h read (pred h p) in
   if p = 0 then vp = vq else vp <> vq
 
+let token (ctx : state Model.ctx) = has_token ctx.Model.h ~read:ctx.Model.read ctx.Model.self
+
 let release h ~read p =
   if not (has_token h ~read p) then read p
   else if p = 0 then { v = norm h (value h read p + 1) }

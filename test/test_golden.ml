@@ -6,11 +6,14 @@
      corruption fault half-way through.  The trace records every selection,
      firing, convene and verdict, so any change in which guard is enabled
      shows up here.
+   - The same for CC2 over the virtual-ring token oracle on triangle3: the
+     oracle reads a non-neighbor, so the engine's dynamically recorded
+     readers are exercised beyond the network's neighborhoods.
    - The [snapcc-tables v1] artifacts of CC1/CC2/CC3 over the tree token
-     layer on single2: every table entry packs the chosen action, its
-     successor and the read mask of the priority scan, so a guard that
-     reads a different set of processes shows up here even when it
-     returns the same value.
+     layer and over the virtual-ring oracle on single2: every table entry
+     packs the chosen action, its successor and the read mask of the
+     priority scan, so a guard that reads a different set of processes
+     shows up here even when it returns the same value.
 
    The expected digests live in [fixtures/golden-digests.txt], one
    "<name> <md5 hex>" line per case.  A deliberate behaviour change updates
@@ -41,9 +44,9 @@ let trace_digest (run : X.runner) h =
   Tele.Hub.close hub;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let tables_digest key h ~topo =
+let tables_digest key ~token h ~topo =
   let entry = Option.get (Snapcc_mc.Systems.find key) in
-  let module S = (val entry.Snapcc_mc.Systems.make "tree") in
+  let module S = (val entry.Snapcc_mc.Systems.make token) in
   let module Tb = Snapcc_mc.Tables.Make (S) in
   let p = Tb.to_portable ~algo:S.name ~topo (Tb.build h) in
   let lines = Snapcc_statics.Artifact.to_lines p in
@@ -62,14 +65,27 @@ let cases () =
           topologies)
       (X.paper_algorithms ())
   in
-  let tables =
-    List.map
-      (fun key ->
-        ( Printf.sprintf "tables-%s-single2" key,
-          fun () -> tables_digest key (Families.single 2) ~topo:"single2" ))
-      [ "cc1"; "cc2"; "cc3" ]
+  let cc2_vring =
+    { X.label = "CC2-vring";
+      run = (fun ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon ~workload ~steps h ->
+          X.Run_cc2_vring.run ?seed ?init ?faults ?stop_when ?record_trace ?telemetry ~daemon
+            ~workload ~steps h) }
   in
-  runs @ tables
+  let vring_runs =
+    [ ( "trace-cc2-vring-triangle3",
+        fun () -> trace_digest cc2_vring (Families.by_name "triangle3") ) ]
+  in
+  let tables =
+    List.concat_map
+      (fun (token, suffix) ->
+        List.map
+          (fun key ->
+            ( Printf.sprintf "tables-%s%s-single2" key suffix,
+              fun () -> tables_digest key ~token (Families.single 2) ~topo:"single2" ))
+          [ "cc1"; "cc2"; "cc3" ])
+      [ ("tree", ""); ("vring", "-vring") ]
+  in
+  runs @ vring_runs @ tables
 
 let expected () =
   let ic = open_in "fixtures/golden-digests.txt" in
