@@ -264,7 +264,7 @@ let run_engine_bench () =
        CI-gated).  Each on/off pair runs back-to-back and the reported
        overhead is the median pair ratio, which cancels host frequency
        drift that a min-of-k cannot (adjacent runs share the slow
-       phase).  Steady state on this instance is ~x1.06.
+       phase).  Steady state on this instance is ~x1.06-1.09.
 
      Stamping must not change the execution either way (obs equality
      per pair below; it never touches the rng). *)
@@ -334,6 +334,39 @@ let run_engine_bench () =
     "mp:     pipeline unstamped %.2fs  stamped %.2fs  (median overhead \
      x%.3f over %d pairs)@."
     pt_off pt_on stamping_overhead pairs;
+  (* (d) allocation of one monitored `ccsim mp` step: CC1 on ring9 over
+     the guard closures (the CLI's path there), always-requesting
+     professors, Spec and Metrics on a hub with vector clocks and a
+     discard sink.  Minor words per step after a warm-up, CI-gated: the
+     step should allocate for what changed, not for every process. *)
+  let mp_words_per_step =
+    let module E1 = Snapcc_mp.Mp_engine.Make (X.Cc1) in
+    let h = Families.pair_ring 9 in
+    let hub = discard_hub () in
+    let workload = Workload.always_requesting ~disc_len:(fun _ -> 2) h in
+    let eng = E1.create ~seed:1 ~telemetry:hub ~vclock:true h in
+    let spec = Spec.create ~telemetry:hub h ~initial:(E1.obs eng) in
+    let metrics = Metrics.create ~telemetry:hub h ~initial:(E1.obs eng) in
+    let before = ref (E1.obs eng) in
+    let step i =
+      let inputs = Workload.inputs workload !before in
+      ignore (E1.step eng ~inputs);
+      let after = E1.obs eng in
+      Spec.on_step spec ~step:i ~request_out:inputs.Model.request_out
+        ~before:!before ~after;
+      Metrics.on_step metrics ~step:i ~round:0 ~before:!before ~after;
+      Workload.observe workload ~step:i after;
+      before := after
+    in
+    let warm = 2_000 and measured = if quick then 20_000 else 100_000 in
+    for i = 0 to warm - 1 do step i done;
+    let w0 = Gc.minor_words () in
+    for i = warm to warm + measured - 1 do step i done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int measured in
+    Tele.Hub.close hub;
+    Format.printf "mp:     monitored cc1/ring9 step %.1f minor words@." words;
+    words
+  in
   let profile = E.profile ep in
   Format.printf "mp profile:";
   List.iter (fun (k, v) -> Format.printf "  %s=%d" k v) profile;
@@ -352,6 +385,7 @@ let run_engine_bench () =
       ("mp_speedup", Json.Float (mt_c /. mt_p));
       ("mp_steps_per_s_stamped", Json.Float mp_steps_per_s_stamped);
       ("stamping_overhead", Json.Float stamping_overhead);
+      ("mp_words_per_step", Json.Float mp_words_per_step);
       ("profile",
        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) profile)) ]
 

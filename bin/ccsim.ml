@@ -409,9 +409,9 @@ let mp_cmd topo algo_name workload_name steps seed disc random_init bias engine
        | _ -> ());
       finish_telemetry ();
       Format.printf "engine: %s (%s%s)@." pk.Model.path pk.Model.reason
-        (if pk.Model.hooks <> None && E.engine_kind eng = `Closure then
-           "; dropped to closures: interner overflow"
-         else "");
+        (match E.dropped eng with
+         | Some why -> "; dropped to closures: " ^ why
+         | None -> "");
       Format.printf
         "%s over message passing: %d steps, %d meetings, %d violations@."
         A.name steps

@@ -34,6 +34,7 @@ type t = {
   waits : wait option array;
   mutable rev_completed_steps : int list;
   mutable rev_completed_rounds : int list;
+  meets : Meeting_diff.t;  (* who meets in the current step's before/after *)
   telemetry : Tele.Hub.t option;
 }
 
@@ -58,74 +59,85 @@ let create ?telemetry h ~initial =
     waits;
     rev_completed_steps = [];
     rev_completed_rounds = [];
+    meets = Meeting_diff.create h ~initial;
     telemetry;
   }
 
+(* a convening committee: count its members' participation and close
+   their waiting spans *)
+let close_waits t ~step ~round e =
+  let members = H.edge_members t.h e in
+  for k = 0 to Array.length members - 1 do
+    let q = members.(k) in
+    t.participation.(q) <- t.participation.(q) + 1;
+    match t.waits.(q) with
+    | None -> ()
+    | Some w ->
+      let waited_steps = step - w.since_step in
+      let waited_rounds = round - w.since_round in
+      t.rev_completed_steps <- waited_steps :: t.rev_completed_steps;
+      t.rev_completed_rounds <- waited_rounds :: t.rev_completed_rounds;
+      emit t (Tele.Event.Wait_close { step; round; p = q; waited_steps; waited_rounds });
+      (match t.telemetry with
+       | Some hub ->
+         Tele.Registry.observe
+           (Tele.Registry.histogram (Tele.Hub.registry hub) "wait_steps")
+           waited_steps
+       | None -> ());
+      t.waits.(q) <- None
+  done
+
 let on_step t ~step ~round ~before ~after =
   t.steps <- t.steps + 1;
-  let meetings = Obs.meetings t.h after in
-  let k = List.length meetings in
-  t.concurrency_sum <- t.concurrency_sum + k;
-  if k > t.max_concurrency then t.max_concurrency <- k;
+  Meeting_diff.advance t.meets ~before ~after;
+  let was = Meeting_diff.before t.meets and is = Meeting_diff.after t.meets in
+  let m = Array.length is in
+  let k = ref 0 in
+  for e = 0 to m - 1 do
+    if is.(e) then incr k
+  done;
+  t.concurrency_sum <- t.concurrency_sum + !k;
+  if !k > t.max_concurrency then t.max_concurrency <- !k;
   (* terminated committees (met before, not after) — telemetry only *)
-  (match t.telemetry with
-   | None -> ()
-   | Some _ ->
-     List.iter
-       (fun e ->
-         if not (List.mem e meetings) then
-           emit t (Tele.Event.Terminate { step; round; eid = e }))
-       (Obs.meetings t.h before));
+  if t.telemetry <> None then
+    for e = 0 to m - 1 do
+      if was.(e) && not is.(e) then
+        emit t (Tele.Event.Terminate { step; round; eid = e })
+    done;
   (* convened committees close the waiting spans of their members *)
-  List.iter
-    (fun e ->
-      if not (Obs.meets t.h before e) then begin
-        t.convenes <- t.convenes + 1;
-        t.convene_per_edge.(e) <- t.convene_per_edge.(e) + 1;
-        emit t (Tele.Event.Convene { step; round; eid = e });
-        Array.iter
-          (fun q ->
-            t.participation.(q) <- t.participation.(q) + 1;
-            match t.waits.(q) with
-            | None -> ()
-            | Some w ->
-              let waited_steps = step - w.since_step in
-              let waited_rounds = round - w.since_round in
-              t.rev_completed_steps <- waited_steps :: t.rev_completed_steps;
-              t.rev_completed_rounds <- waited_rounds :: t.rev_completed_rounds;
-              emit t
-                (Tele.Event.Wait_close
-                   { step; round; p = q; waited_steps; waited_rounds });
-              (match t.telemetry with
-               | Some hub ->
-                 Tele.Registry.observe
-                   (Tele.Registry.histogram (Tele.Hub.registry hub) "wait_steps")
-                   waited_steps
-               | None -> ());
-              t.waits.(q) <- None)
-          (H.edge_members t.h e)
-      end)
-    meetings;
+  for e = 0 to m - 1 do
+    if is.(e) && not was.(e) then begin
+      t.convenes <- t.convenes + 1;
+      t.convene_per_edge.(e) <- t.convene_per_edge.(e) + 1;
+      emit t (Tele.Event.Convene { step; round; eid = e });
+      close_waits t ~step ~round e
+    end
+  done;
   (* participants of ongoing meetings are not waiting, even when their
      status reads [waiting] (meetings inherited from an arbitrary initial
      configuration) *)
-  List.iter
-    (fun e -> Array.iter (fun q -> t.waits.(q) <- None) (H.edge_members t.h e))
-    meetings;
+  for e = 0 to m - 1 do
+    if is.(e) then begin
+      let members = H.edge_members t.h e in
+      for k = 0 to Array.length members - 1 do
+        t.waits.(members.(k)) <- None
+      done
+    end
+  done;
   (* spans open when a professor (re)enters the waiting state *)
-  Array.iteri
-    (fun p (o : Obs.t) ->
-      match t.waits.(p) with
-      | Some _ ->
-        (* a span survives only while the professor keeps waiting and is
-           not in a meeting *)
-        if not (Obs.is_waiting o) then t.waits.(p) <- None
-      | None ->
-        if Obs.is_waiting o && not (Obs.is_waiting before.(p)) then begin
-          t.waits.(p) <- Some { since_step = step; since_round = round };
-          emit t (Tele.Event.Wait_open { step; round; p })
-        end)
-    after
+  for p = 0 to Array.length after - 1 do
+    let waiting = Obs.is_waiting after.(p) in
+    match t.waits.(p) with
+    | Some _ ->
+      (* a span survives only while the professor keeps waiting and is
+         not in a meeting *)
+      if not waiting then t.waits.(p) <- None
+    | None ->
+      if waiting && not (Obs.is_waiting before.(p)) then begin
+        t.waits.(p) <- Some { since_step = step; since_round = round };
+        emit t (Tele.Event.Wait_open { step; round; p })
+      end
+  done
 
 let mean = function
   | [] -> 0.

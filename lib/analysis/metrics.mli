@@ -35,6 +35,11 @@ val create :
 val on_step :
   t -> step:int -> round:int ->
   before:Snapcc_runtime.Obs.t array -> after:Snapcc_runtime.Obs.t array -> unit
+(** Account one transition.  Same contract as {!Spec.on_step}: an
+    observation array handed to the monitor is never mutated afterwards;
+    the meetings of the last [after] are reused when the next [before] is
+    physically that array.  Builds no lists (the waiting-time ledger grows
+    only when a span closes). *)
 
 val finish : t -> step:int -> round:int -> summary
 (** Close the books; open waiting spans are measured up to [step]/[round]. *)

@@ -16,13 +16,14 @@ type t = {
   convene_count : int array;
   participations : int array;
   sessions : session array;
-  meets_after : bool array;  (** [Obs.meets] on the current step's [after] *)
+  meets : Meeting_diff.t;  (* who meets in the current step's before/after *)
   telemetry : Snapcc_telemetry.Hub.t option;
 }
 
 let create ?telemetry h ~initial =
+  let meets = Meeting_diff.create h ~initial in
   let sessions =
-    Array.init (H.m h) (fun e -> if Obs.meets h initial e then Exempt else Off)
+    Array.map (fun met -> if met then Exempt else Off) (Meeting_diff.after meets)
   in
   {
     h;
@@ -31,7 +32,7 @@ let create ?telemetry h ~initial =
     convene_count = Array.make (H.m h) 0;
     participations = Array.make (H.n h) 0;
     sessions;
-    meets_after = Array.make (H.m h) false;
+    meets;
     telemetry;
   }
 
@@ -45,17 +46,29 @@ let report t ~step ~rule detail =
 
 let edge_str t e = Format.asprintf "%a" (H.pp_edge t.h) e
 
-(* every pair [e < e'] of conflicting committees meeting in [after] *)
-let check_exclusion t ~step =
-  let m = H.m t.h in
-  for e = 0 to m - 1 do
-    if t.meets_after.(e) then
-      for e' = e + 1 to m - 1 do
-        if t.meets_after.(e') && H.conflicting t.h e e' then
-          report t ~step ~rule:"exclusion"
-            (Printf.sprintf "conflicting committees %s and %s meet simultaneously"
-               (edge_str t e) (edge_str t e'))
-      done
+(* every pair [e < e'] of conflicting committees meeting in [after], in
+   that order: for each meeting [e], the meeting committees [e' > e]
+   incident to one of its members *)
+let check_exclusion t ~step ~is =
+  for e = 0 to Array.length is - 1 do
+    if is.(e) then begin
+      let clashes = ref [] in
+      let members = H.edge_members t.h e in
+      for k = 0 to Array.length members - 1 do
+        let incident = H.incident t.h members.(k) in
+        for j = 0 to Array.length incident - 1 do
+          let e' = incident.(j) in
+          if e' > e && is.(e') then clashes := e' :: !clashes
+        done
+      done;
+      if !clashes <> [] then
+        List.iter
+          (fun e' ->
+            report t ~step ~rule:"exclusion"
+              (Printf.sprintf "conflicting committees %s and %s meet simultaneously"
+                 (edge_str t e) (edge_str t e')))
+          (List.sort_uniq compare !clashes)
+    end
   done
 
 let check_convene t ~step ~(before : Obs.t array) ~(after : Obs.t array) e =
@@ -118,14 +131,12 @@ let check_terminate t ~step ~request_out ~(before : Obs.t array) e =
   t.sessions.(e) <- Off
 
 let on_step t ~step ~request_out ~before ~after =
-  for e = 0 to H.m t.h - 1 do
-    t.meets_after.(e) <- Obs.meets t.h after e
-  done;
-  check_exclusion t ~step;
-  for e = 0 to H.m t.h - 1 do
-    let was = Obs.meets t.h before e and is = t.meets_after.(e) in
-    if (not was) && is then check_convene t ~step ~before ~after e
-    else if was && not is then check_terminate t ~step ~request_out ~before e
+  Meeting_diff.advance t.meets ~before ~after;
+  let was = Meeting_diff.before t.meets and is = Meeting_diff.after t.meets in
+  check_exclusion t ~step ~is;
+  for e = 0 to Array.length is - 1 do
+    if (not was.(e)) && is.(e) then check_convene t ~step ~before ~after e
+    else if was.(e) && not is.(e) then check_terminate t ~step ~request_out ~before e
   done
 
 let on_fault t obs =

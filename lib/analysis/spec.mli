@@ -40,7 +40,13 @@ val on_step :
       every member in status [done] in [before], each with its discussion
       counter advanced since the convene;
     - {b voluntary discussion}: a terminating committee (unless exempt) has
-      at least one member whose [RequestOut] held. *)
+      at least one member whose [RequestOut] held.
+
+    Contract: an observation array handed to the monitor (as [initial],
+    [before], [after] or to {!on_fault}) is never mutated afterwards.  The
+    monitor keeps which committees meet in the last [after] and reuses it
+    when the next [before] is physically that array; a fresh array is
+    always projected again.  Builds no lists. *)
 
 val on_fault : t -> Snapcc_runtime.Obs.t array -> unit
 (** Notify that a transient fault was injected and show the corrupted

@@ -13,10 +13,9 @@ module Make (A : Model.ALGO) = struct
     | Delivered of int * int
 
   (* Table-driven mirror of the transformation state: dense domain ids for
-     every core, cache entry and in-flight snapshot, per-process packed
-     view configurations, and the pending set as bitmasks.  The typed
-     states stay authoritative; the mirror only replaces guard scans and
-     the scheduler's pending-list allocation. *)
+     every core, cache entry and in-flight snapshot, and per-process packed
+     view configurations.  The typed states stay authoritative; the mirror
+     only replaces guard scans. *)
   type pk = {
     hooks : A.state Model.packed;
     core_ids : int array;
@@ -28,8 +27,6 @@ module Make (A : Model.ALGO) = struct
     ok : bool array;
         (* table stored and support within the closed neighborhood: the
            cells a message-passing view actually maintains *)
-    masks : int array;  (* pending slots per process *)
-    mutable count : int;  (* total pending *)
   }
 
   (* Vector-clock bookkeeping, active only when stamping is on: per-process
@@ -45,10 +42,6 @@ module Make (A : Model.ALGO) = struct
            preallocated int rows, so the per-broadcast capture is a plain
            blit (no allocation, no write barrier on the hot path) *)
     chan_has : bool array array;
-    cores : A.state array;
-        (* scratch mirror of the authoritative cores (refreshed on the two
-           mutation points) so a clock stamp's observation needs no
-           per-event array rebuild *)
     mutable init_emitted : bool;
   }
 
@@ -58,8 +51,18 @@ module Make (A : Model.ALGO) = struct
     telemetry : Tele.Hub.t option;
     views : View.t array;  (* per-process core + per-neighbor cache *)
     chan : A.state option array array;  (* chan.(p).(i): pending from i-th neighbor *)
+    masks : int array;  (* bit i of masks.(p): chan.(p).(i) is pending *)
+    mutable count : int;  (* pending links: the set bits of [masks] *)
+    cores : A.state array;
+        (* scratch for [A.observe]: the view cores, copied in when the
+           observations are recomputed *)
+    obs_cache : Obs.t array;  (* the observations, valid unless dirty *)
+    mutable obs_dirty : bool;
+        (* set wherever a view core changes: a labelled activation and
+           [corrupt] *)
     actions : A.state Model.action array;
     mutable pk : pk option;
+    mutable dropped : string option;  (* why [?packed] no longer serves *)
     vc : vc option;
     mutable sent : int;
     mutable delivered : int;
@@ -134,24 +137,33 @@ module Make (A : Model.ALGO) = struct
                   (H.neighbors h p);
                 cfg)
           in
-          let masks =
-            Array.init n (fun p ->
-                let m = ref 0 in
-                Array.iteri
-                  (fun i s -> if s <> None then m := !m lor (1 lsl i))
-                  chan.(p);
-                !m)
-          in
-          let count =
-            Array.fold_left
-              (fun acc row ->
-                Array.fold_left (fun a m -> if m = None then a else a + 1) acc row)
-              0 chan
-          in
-          { hooks; core_ids; cache_ids; chan_ids; cfgs; ok; masks; count }
+          { hooks; core_ids; cache_ids; chan_ids; cfgs; ok }
         with
-        | pk -> Some pk
-        | exception Failure _ -> None)
+        | pk -> Some (Ok pk)
+        | exception Failure _ -> Some (Error "interner overflow"))
+    in
+    (* a mirror that serves no process would only re-intern cores *)
+    let pk, dropped =
+      match pk with
+      | None -> (None, None)
+      | Some (Ok pk) when Array.exists Fun.id pk.ok -> (Some pk, None)
+      | Some (Ok _) ->
+        (None, Some "no stored table reads only its process's closed neighborhood")
+      | Some (Error why) -> (None, Some why)
+    in
+    let masks =
+      Array.map
+        (fun row ->
+          let m = ref 0 in
+          Array.iteri (fun i s -> if s <> None then m := !m lor (1 lsl i)) row;
+          !m)
+        chan
+    in
+    let count =
+      Array.fold_left
+        (fun acc row ->
+          Array.fold_left (fun a m -> if m = None then a else a + 1) acc row)
+        0 chan
     in
     let vc =
       if vclock && telemetry <> None then begin
@@ -170,25 +182,40 @@ module Make (A : Model.ALGO) = struct
           Array.init n (fun p ->
               Array.map (fun m -> m <> None) chan.(p))
         in
-        Some
-          { clocks; chan_clocks; chan_has;
-            cores = Array.map View.core views;
-            init_emitted = false }
+        Some { clocks; chan_clocks; chan_has; init_emitted = false }
       end
       else None
     in
-    { h; sem; telemetry; views; chan;
+    let cores = Array.map View.core views in
+    { h; sem; telemetry; views; chan; masks; count; cores;
+      obs_cache = Array.init n (A.observe h cores); obs_dirty = false;
       actions = Array.of_list (A.actions h);
-      pk; vc; sent = 0; delivered = 0;
+      pk; dropped; vc; sent = 0; delivered = 0;
       prof_pk_hits = 0; prof_pk_fallbacks = 0;
       prof_activations = 0; prof_deliveries = 0 }
 
   let hypergraph t = t.h
   let engine_kind t = if t.pk = None then `Closure else `Packed
 
-  let obs t =
-    let cores = Array.map View.core t.views in
-    Array.init (H.n t.h) (A.observe t.h cores)
+  let dropped t = t.dropped
+
+  (* The cached observations, recomputed after a core changed.  Every
+     process is projected again: an observation may read other cores (the
+     token layer's [Token(p)] does). *)
+  let observations t =
+    if t.obs_dirty then begin
+      for p = 0 to H.n t.h - 1 do
+        t.cores.(p) <- View.core t.views.(p)
+      done;
+      for p = 0 to H.n t.h - 1 do
+        t.obs_cache.(p) <- A.observe t.h t.cores p
+      done;
+      t.obs_dirty <- false
+    end;
+    t.obs_cache
+
+  let obs t = Array.copy (observations t)
+  let states t = Array.map View.core t.views
 
   let steps_taken t = Sem.steps t.sem
   let messages_delivered t = t.delivered
@@ -201,17 +228,13 @@ module Make (A : Model.ALGO) = struct
       ("mp_activations", t.prof_activations);
       ("mp_deliveries", t.prof_deliveries) ]
 
-  let in_flight t =
-    Array.fold_left
-      (fun acc row ->
-        Array.fold_left (fun a m -> if m = None then a else a + 1) acc row)
-      0 t.chan
+  let in_flight t = t.count
 
   let emit t ev =
     match t.telemetry with None -> () | Some hub -> Tele.Hub.emit hub ev
 
   let emit_clock t vc ~k p =
-    let o = A.observe t.h vc.cores p in
+    let o = (observations t).(p) in
     emit t
       (Tele.Event.Clock
          { step = Sem.steps t.sem;
@@ -233,30 +256,38 @@ module Make (A : Model.ALGO) = struct
       done
     | _ -> ()
 
+  let set_pending t p i =
+    if t.chan.(p).(i) = None then begin
+      t.masks.(p) <- t.masks.(p) lor (1 lsl i);
+      t.count <- t.count + 1
+    end
+
   let broadcast t p =
-    Array.iteri
-      (fun _i q ->
-        let slot = View.slot t.views.(q) p in
-        (match t.pk with
-         | Some pk ->
-           if t.chan.(q).(slot) = None then begin
-             pk.masks.(q) <- pk.masks.(q) lor (1 lsl slot);
-             pk.count <- pk.count + 1
-           end;
-           pk.chan_ids.(q).(slot) <- pk.core_ids.(p)
-         | None -> ());
-        (match t.vc with
-         | Some vc ->
-           let src = vc.clocks.(p) in
-           let dst = vc.chan_clocks.(q).(slot) in
-           for j = 0 to Array.length src - 1 do
-             Array.unsafe_set dst j (Array.unsafe_get src j)
-           done;
-           vc.chan_has.(q).(slot) <- true
-         | None -> ());
-        t.chan.(q).(slot) <- Some (View.core t.views.(p));
-        t.sent <- t.sent + 1)
-      (H.neighbors t.h p)
+    let msg = Some (View.core t.views.(p)) in
+    let nbrs = H.neighbors t.h p in
+    for k = 0 to Array.length nbrs - 1 do
+      let q = nbrs.(k) in
+      let slot = View.slot t.views.(q) p in
+      set_pending t q slot;
+      (match t.pk with
+       | Some pk -> pk.chan_ids.(q).(slot) <- pk.core_ids.(p)
+       | None -> ());
+      (match t.vc with
+       | Some vc ->
+         let src = vc.clocks.(p) in
+         let dst = vc.chan_clocks.(q).(slot) in
+         for j = 0 to Array.length src - 1 do
+           Array.unsafe_set dst j (Array.unsafe_get src j)
+         done;
+         vc.chan_has.(q).(slot) <- true
+       | None -> ());
+      t.chan.(q).(slot) <- msg;
+      t.sent <- t.sent + 1
+    done
+
+  let drop_mirror t why =
+    t.pk <- None;
+    t.dropped <- Some why
 
   (* Packed activation: one table lookup instead of the guard closure scan;
      the statement still runs against the typed view.  [-2] (or an
@@ -269,14 +300,11 @@ module Make (A : Model.ALGO) = struct
     | Some pk ->
       let fallback () =
         let label = View.activate t.views.(p) ~inputs in
-        (match t.pk with
-         | Some pk -> (
-           match pk.hooks.Model.pk_intern p (View.core t.views.(p)) with
-           | id ->
-             pk.core_ids.(p) <- id;
-             pk.cfgs.(p).(p) <- id
-           | exception Failure _ -> t.pk <- None)
-         | None -> ());
+        (match pk.hooks.Model.pk_intern p (View.core t.views.(p)) with
+         | id ->
+           pk.core_ids.(p) <- id;
+           pk.cfgs.(p).(p) <- id
+         | exception Failure _ -> drop_mirror t "interner overflow");
         label
       in
       if not pk.ok.(p) then fallback ()
@@ -303,11 +331,13 @@ module Make (A : Model.ALGO) = struct
   let activate t ~inputs p =
     t.prof_activations <- t.prof_activations + 1;
     let label = view_activate t ~inputs p in
+    (* a no-op activation leaves the core, and so the observations, as
+       they were *)
+    if label <> None then t.obs_dirty <- true;
     (* tick before broadcasting: the snapshot causally includes the
        activation; a no-op activation is a heartbeat, not an event *)
     (match t.vc with
      | Some vc when label <> None ->
-       vc.cores.(p) <- View.core t.views.(p);
        let own = vc.clocks.(p) in
        own.(p) <- own.(p) + 1
      | _ -> ());
@@ -330,10 +360,10 @@ module Make (A : Model.ALGO) = struct
         | Some pk ->
           let id = pk.chan_ids.(p).(i) in
           pk.cache_ids.(p).(i) <- id;
-          pk.cfgs.(p).((H.neighbors t.h p).(i)) <- id;
-          pk.masks.(p) <- pk.masks.(p) land lnot (1 lsl i);
-          pk.count <- pk.count - 1
+          pk.cfgs.(p).((H.neighbors t.h p).(i)) <- id
         | None -> ());
+       t.masks.(p) <- t.masks.(p) land lnot (1 lsl i);
+       t.count <- t.count - 1;
        (match t.vc with
         | Some vc ->
           let own = vc.clocks.(p) in
@@ -358,23 +388,10 @@ module Make (A : Model.ALGO) = struct
      | _ -> ());
     Delivered (p, src)
 
-  let pending t =
-    let acc = ref [] in
-    Array.iteri
-      (fun p row ->
-        Array.iteri (fun i m -> if m <> None then acc := (p, i) :: !acc) row)
-      t.chan;
-    !acc
-
   let step t ~inputs =
     ensure_init_clocks t;
     Sem.begin_step t.sem;
-    let decision =
-      match t.pk with
-      | Some pk -> Sem.decide_masks t.sem ~masks:pk.masks ~count:pk.count
-      | None -> Sem.decide t.sem ~pending:(pending t)
-    in
-    match decision with
+    match Sem.decide t.sem ~masks:t.masks ~count:t.count with
     | Sem.Activate p -> activate t ~inputs p
     | Sem.Deliver (p, i) -> deliver t p i
 
@@ -386,19 +403,14 @@ module Make (A : Model.ALGO) = struct
       (fun p ->
         if p < 0 || p >= H.n t.h then invalid_arg "mp corrupt: bad victim";
         View.set_core t.views.(p) (A.random_init t.h rng p);
+        t.obs_dirty <- true;
         Array.iteri
           (fun i q -> View.refresh t.views.(p) ~slot:i (A.random_init t.h rng q))
           (H.neighbors t.h p);
         Array.iteri
           (fun i q ->
             if Random.State.bool rng then begin
-              (match t.pk with
-               | Some pk ->
-                 if t.chan.(p).(i) = None then begin
-                   pk.masks.(p) <- pk.masks.(p) lor (1 lsl i);
-                   pk.count <- pk.count + 1
-                 end
-               | None -> ());
+              set_pending t p i;
               (* the adversary forged a snapshot "from q": stamp it with
                  q's current clock so delivery stays causally well-formed *)
               (match t.vc with
@@ -412,7 +424,6 @@ module Make (A : Model.ALGO) = struct
           (H.neighbors t.h p);
         (match t.vc with
          | Some vc ->
-           vc.cores.(p) <- View.core t.views.(p);
            Vclock.tick vc.clocks.(p) p;
            emit_clock t vc ~k:Tele.Event.clock_corruption p
          | None -> ());
@@ -434,7 +445,7 @@ module Make (A : Model.ALGO) = struct
               (H.neighbors t.h p)
           with
           | () -> ()
-          | exception Failure _ -> t.pk <- None)
+          | exception Failure _ -> drop_mirror t "interner overflow")
         | None -> ())
       victims
 end

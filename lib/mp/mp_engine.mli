@@ -53,23 +53,37 @@ module Make (A : Snapcc_runtime.Model.ALGO) : sig
       unstamped one.
 
       [packed] enables the table-driven fast path: guard scans on each
-      activation become one packed-table lookup, and the scheduler's
-      pending list becomes a bitmask.  Strictly an accelerator — the typed
+      activation become one packed-table lookup.  Strictly an accelerator — the typed
       views stay authoritative, statements still execute, and a packed run
       is event-for-event identical to the closure run of the same seed
       (cells without a stored table, or whose support leaks outside the
       closed neighborhood, transparently fall back to the guard
-      closures). *)
+      closures).  A mirror that would serve no process — no stored table
+      whose support lies in its process's closed neighborhood — is dropped
+      at [create] (see {!dropped}). *)
 
   val hypergraph : t -> Snapcc_hypergraph.Hypergraph.t
 
   val engine_kind : t -> [ `Packed | `Closure ]
   (** Which stepping path this run is on.  [`Packed] requires [?packed]
-      hooks at {!create} and degrades to [`Closure] permanently if the
-      interner ever overflows (never silently wrong, just slower). *)
+      hooks at {!create} that serve some process, and degrades to
+      [`Closure] permanently if the interner ever overflows (never
+      silently wrong, just slower). *)
+
+  val dropped : t -> string option
+  (** Why the [?packed] mirror given at {!create} does not serve the run
+      ([None] when it does, or when none was given): it served no process,
+      or its interner overflowed. *)
 
   val obs : t -> Snapcc_runtime.Obs.t array
-  (** Observation of the true (core) configuration. *)
+  (** Observation of the true (core) configuration, as a fresh array the
+      caller owns.  It is copied from a cached projection that is
+      recomputed only after a core changed (a labelled activation or
+      {!corrupt}); clock events read their observation from the same
+      cache. *)
+
+  val states : t -> A.state array
+  (** The true cores, read from the per-process views (a fresh array). *)
 
   val step : t -> inputs:Snapcc_runtime.Model.inputs -> event
   (** One scheduler event.  Fairness: starving processes and old pending

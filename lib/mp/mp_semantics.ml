@@ -4,14 +4,20 @@ type decision =
   | Activate of int
   | Deliver of int * int
 
+(* Ageing by step stamps: an activation counter or a cache age is never
+   incremented; it is the distance from the current step to the stamp of
+   the last reset.  [begin_step] only advances the step, and the
+   staleness watermark moves when an entry is refreshed (its age then is
+   the largest it reached); the ages of entries not yet refreshed are
+   folded in when {!max_staleness} is read. *)
 type t = {
   n : int;
   rng : Random.State.t;
   deliver_bias : float;
-  idle_for : int array;  (* activation starvation counter per process *)
-  cache_age : int array array;  (* steps since cache.(p).(i) was refreshed *)
+  last_act : int array;  (* step of p's last activation (0: none yet) *)
+  last_ref : int array array;  (* step cache.(p).(i) was last refreshed *)
   mutable steps : int;
-  mutable worst_staleness : int;
+  mutable watermark : int;  (* largest age an entry reached when refreshed *)
 }
 
 let create ?(deliver_bias = 0.5) ~seed h =
@@ -22,107 +28,75 @@ let create ?(deliver_bias = 0.5) ~seed h =
        semantics, since replaying a run means replaying these draws *)
     rng = Random.State.make [| seed; n; 0x3b |];
     deliver_bias;
-    idle_for = Array.make n 0;
-    cache_age = Array.init n (fun p -> Array.make (H.graph_degree h p) 0);
+    last_act = Array.make n 0;
+    last_ref = Array.init n (fun p -> Array.make (H.graph_degree h p) 0);
     steps = 0;
-    worst_staleness = 0;
+    watermark = 0;
   }
 
 let rng t = t.rng
 let steps t = t.steps
-let max_staleness t = t.worst_staleness
 let fairness_bound t = 16 * t.n
+let begin_step t = t.steps <- t.steps + 1
 
-let begin_step t =
-  t.steps <- t.steps + 1;
-  Array.iter
-    (fun row ->
-      Array.iteri
-        (fun i _ ->
-          row.(i) <- row.(i) + 1;
-          if row.(i) > t.worst_staleness then t.worst_staleness <- row.(i))
-        row)
-    t.cache_age;
-  for p = 0 to t.n - 1 do
-    t.idle_for.(p) <- t.idle_for.(p) + 1
-  done
+let max_staleness t =
+  Array.fold_left
+    (Array.fold_left (fun acc r -> max acc (t.steps - r)))
+    t.watermark t.last_ref
 
-let decide t ~pending =
-  let bound = fairness_bound t in
-  (* forced events first: the lowest starving process, else the greatest
-     stale pending link ([pending] is descending, so the first match) *)
-  let starving = ref None in
-  for p = t.n - 1 downto 0 do
-    if t.idle_for.(p) >= bound then starving := Some p
-  done;
-  match !starving with
-  | Some p -> Activate p
-  | None -> (
-    match
-      List.find_opt (fun (p, i) -> t.cache_age.(p).(i) >= bound) pending
-    with
-    | Some (p, i) -> Deliver (p, i)
-    | None ->
-      if pending <> [] && Random.State.float t.rng 1.0 < t.deliver_bias then begin
-        let p, i =
-          List.nth pending (Random.State.int t.rng (List.length pending))
-        in
-        Deliver (p, i)
-      end
-      else Activate (Random.State.int t.rng t.n))
+(* the lowest process last activated at or before step [lim], or -1 *)
+let starving t lim =
+  let p = ref 0 in
+  while !p < t.n && t.last_act.(!p) > lim do incr p done;
+  if !p < t.n then !p else -1
 
-(* Same decision function over a packed pending set: [masks.(p)] holds one
-   bit per slot of [p]'s neighbor array, [count] the total number of set
-   bits.  Draw-for-draw identical to {!decide} on the list [Mp_engine]
-   builds (descending lexicographic): the stale scan walks (p, slot)
-   descending, and the uniform pick at rank [k] of the descending list is
-   the element at ascending rank [count - 1 - k].  No allocation. *)
-exception Found of int * int
+(* the greatest pending link (p, slot), descending lexicographically, whose
+   cache entry was last refreshed at or before step [lim], as [p * 64 +
+   slot] (a mask has at most 63 slots), or -1 *)
+let rec stale t masks lim p =
+  if p < 0 then -1
+  else
+    let m = masks.(p) in
+    let row = t.last_ref.(p) in
+    let i = ref (Array.length row - 1) in
+    while !i >= 0 && not (m land (1 lsl !i) <> 0 && row.(!i) <= lim) do decr i done;
+    if !i >= 0 then (p * 64) + !i else stale t masks lim (p - 1)
 
-let decide_masks t ~masks ~count =
-  let bound = fairness_bound t in
-  let starving = ref None in
-  for p = t.n - 1 downto 0 do
-    if t.idle_for.(p) >= bound then starving := Some p
-  done;
-  match !starving with
-  | Some p -> Activate p
-  | None -> (
-    match
-      for p = t.n - 1 downto 0 do
-        let m = masks.(p) in
-        if m <> 0 then
-          for i = Array.length t.cache_age.(p) - 1 downto 0 do
-            if m land (1 lsl i) <> 0 && t.cache_age.(p).(i) >= bound then
-              raise (Found (p, i))
-          done
-      done
-    with
-    | exception Found (p, i) -> Deliver (p, i)
-    | () ->
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
+
+(* the pending link of ascending rank [rank], (p, slot) lexicographically *)
+let rec nth_pending masks p rank =
+  if p >= Array.length masks then invalid_arg "Mp_semantics.decide: count exceeds masks";
+  let m = masks.(p) in
+  let c = popcount m in
+  if rank >= c then nth_pending masks (p + 1) (rank - c)
+  else begin
+    let i = ref 0 and r = ref rank in
+    while m land (1 lsl !i) = 0 || !r > 0 do
+      if m land (1 lsl !i) <> 0 then decr r;
+      incr i
+    done;
+    Deliver (p, !i)
+  end
+
+let decide t ~masks ~count =
+  let lim = t.steps - fairness_bound t in
+  match starving t lim with
+  | p when p >= 0 -> Activate p
+  | _ -> (
+    match stale t masks lim (t.n - 1) with
+    | link when link >= 0 -> Deliver (link / 64, link mod 64)
+    | _ ->
       if count > 0 && Random.State.float t.rng 1.0 < t.deliver_bias then begin
+        (* rank [k] of the descending order is ascending rank [count-1-k] *)
         let k = Random.State.int t.rng count in
-        let rank = ref (count - 1 - k) in
-        match
-          for p = 0 to t.n - 1 do
-            let m = ref masks.(p) in
-            while !m <> 0 do
-              let i = !m land - !m in
-              (* lowest set bit, as a power of two *)
-              let slot =
-                let rec log2 v acc = if v = 1 then acc else log2 (v lsr 1) (acc + 1) in
-                log2 i 0
-              in
-              if !rank = 0 then raise (Found (p, slot));
-              decr rank;
-              m := !m land (!m - 1)
-            done
-          done
-        with
-        | exception Found (p, i) -> Deliver (p, i)
-        | () -> invalid_arg "Mp_semantics.decide_masks: count exceeds masks"
+        nth_pending masks 0 (count - 1 - k)
       end
       else Activate (Random.State.int t.rng t.n))
 
-let on_activated t p = t.idle_for.(p) <- 0
-let on_cache_refresh t ~dst ~slot = t.cache_age.(dst).(slot) <- 0
+let on_activated t p = t.last_act.(p) <- t.steps
+
+let on_cache_refresh t ~dst ~slot =
+  let row = t.last_ref.(dst) in
+  t.watermark <- max t.watermark (t.steps - row.(slot));
+  row.(slot) <- t.steps

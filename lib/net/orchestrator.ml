@@ -4,6 +4,7 @@ module Model = Snapcc_runtime.Model
 module Obs = Snapcc_runtime.Obs
 module Spec = Snapcc_analysis.Spec
 module Metrics = Snapcc_analysis.Metrics
+module Meeting_diff = Snapcc_analysis.Meeting_diff
 module Workload = Snapcc_workload.Workload
 module Tele = Snapcc_telemetry
 module Vclock = Snapcc_telemetry.Vclock
@@ -225,6 +226,7 @@ module Make (A : Model.ALGO) = struct
       let before = ref (obs ()) in
       let spec = Spec.create ?telemetry h ~initial:!before in
       let metrics = Metrics.create ?telemetry h ~initial:!before in
+      let meets = Meeting_diff.create h ~initial:!before in
       let broadcast p =
         let snapshot = marshal states.(p) in
         (* one shared copy per broadcast: link entries never mutate it *)
@@ -451,16 +453,23 @@ module Make (A : Model.ALGO) = struct
         Spec.on_fault spec (obs ());
         before := obs ()
       in
-      let pending i =
-        let acc = ref [] in
-        Array.iteri
-          (fun p row ->
-            Array.iteri
-              (fun slot link ->
-                if Link.eligible link ~step:i then acc := (p, slot) :: !acc)
-              row)
-          links;
-        !acc
+      (* the scheduler's pending set: bit [slot] of masks.(p) iff the link
+         into [p] from its [slot]-th neighbor can deliver at step [i] *)
+      let masks = Array.make n 0 in
+      let fill_masks i =
+        let count = ref 0 in
+        for p = 0 to n - 1 do
+          let row = links.(p) in
+          let m = ref 0 in
+          for slot = 0 to Array.length row - 1 do
+            if Link.eligible row.(slot) ~step:i then begin
+              m := !m lor (1 lsl slot);
+              incr count
+            end
+          done;
+          masks.(p) <- !m
+        done;
+        !count
       in
       for i = 0 to cfg.steps - 1 do
         (match cfg.burst with Some b when b = i -> corruption_burst i | _ -> ());
@@ -468,7 +477,8 @@ module Make (A : Model.ALGO) = struct
         let req_in = Array.init n inputs.Model.request_in in
         let req_out = Array.init n inputs.Model.request_out in
         Sem.begin_step sem;
-        (match Sem.decide sem ~pending:(pending i) with
+        let count = fill_masks i in
+        (match Sem.decide sem ~masks ~count with
          | Sem.Activate p -> activate p ~req_in ~req_out
          | Sem.Deliver (p, slot) -> deliver p slot);
         let after = obs () in
@@ -478,13 +488,16 @@ module Make (A : Model.ALGO) = struct
            waiting-span events exactly like the in-process driver, so net
            traces aggregate identically; the meeting-set diff stays local
            for the result counters and recovery detection *)
-        let mb = Obs.meetings h !before and ma = Obs.meetings h after in
-        let fresh = List.filter (fun e -> not (List.mem e mb)) ma in
-        let gone = List.filter (fun e -> not (List.mem e ma)) mb in
-        terminations := !terminations + List.length gone;
+        Meeting_diff.advance meets ~before:!before ~after;
+        let was = Meeting_diff.before meets and is = Meeting_diff.after meets in
+        let first_fresh = ref (-1) in
+        for e = Array.length is - 1 downto 0 do
+          if is.(e) && not was.(e) then first_fresh := e;
+          if was.(e) && not is.(e) then incr terminations
+        done;
         Metrics.on_step metrics ~step:i ~round:0 ~before:!before ~after;
-        (match (fresh, !burst_done, !recover) with
-         | eid :: _, true, None ->
+        (match (!first_fresh, !burst_done, !recover) with
+         | eid, true, None when eid >= 0 ->
            recover := Some i;
            emit (Tele.Event.Recover { step = i; eid })
          | _ -> ());

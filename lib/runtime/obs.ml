@@ -72,13 +72,22 @@ let meeting_member o eid =
   (match o.pointer with Some e -> e = eid | None -> false)
   && match o.status with Waiting | Done -> true | Idle | Looking -> false
 
-(* every member points at [eid] in status waiting or done; a loop, so the
-   monitors' per-step passes over the committees allocate nothing *)
-let meets h obs eid =
-  let ms = H.edge_members h eid in
+(* every member [ms] of committee [eid] points at it in status waiting or
+   done; a loop, so the monitors' per-step passes over the committees
+   allocate nothing *)
+let all_meet ms obs eid =
   let i = ref 0 in
   while !i < Array.length ms && meeting_member obs.(ms.(!i)) eid do incr i done;
   !i = Array.length ms
+
+let meets h obs eid = all_meet (H.edge_members h eid) obs eid
+
+(* one call for every committee, reading the edge records directly *)
+let fill_meets h obs v =
+  let edges = H.edges h in
+  for e = 0 to Array.length v - 1 do
+    v.(e) <- all_meet edges.(e).H.members obs e
+  done
 
 let meetings h obs =
   List.filter (meets h obs) (List.init (H.m h) Fun.id)

@@ -45,6 +45,10 @@ val meets : Snapcc_hypergraph.Hypergraph.t -> t array -> int -> bool
 (** A committee meets iff every member points at it with status in
     [{Waiting; Done}] (§4.2). *)
 
+val fill_meets : Snapcc_hypergraph.Hypergraph.t -> t array -> bool array -> unit
+(** [fill_meets h obs v] sets [v.(e)] to [meets h obs e] for every
+    committee [e] of [v] (length [Hypergraph.m h]).  Allocates nothing. *)
+
 val meetings : Snapcc_hypergraph.Hypergraph.t -> t array -> int list
 (** Committees currently meeting, ascending edge ids. *)
 

@@ -9,6 +9,15 @@
    - The same for CC2 over the virtual-ring token oracle on triangle3: the
      oracle reads a non-neighbor, so the engine's dynamically recorded
      readers are exercised beyond the network's neighborhoods.
+   - The telemetry JSONL of monitored message-passing runs ([Mp_engine]
+     with [Spec] and [Metrics] on the hub, vector clocks on) of CC1 on
+     ring9 and CC2 on fig1 over the guard closures, and of CC1 on line3
+     over the packed mirror, from a random initial configuration with a
+     corruption fault half-way through; the run's final counters,
+     staleness watermark, [Metrics] summary and observations are appended
+     to the digested text.  Every scheduler decision, delivery and clock
+     stamp is in the stream, so a change in ageing, pending-set order or
+     observation caching shows up here.
    - The [snapcc-tables v1] artifacts of CC1/CC2/CC3 over the tree token
      layer and over the virtual-ring oracle on single2: every table entry
      packs the chosen action, its successor and the read mask of the
@@ -52,6 +61,51 @@ let tables_digest key ~token h ~topo =
   let lines = Snapcc_statics.Artifact.to_lines p in
   Digest.to_hex (Digest.string (String.concat "\n" lines))
 
+module Mp_digest (A : Snapcc_runtime.Model.ALGO) = struct
+  module E = Snapcc_mp.Mp_engine.Make (A)
+  module Spec = Snapcc_analysis.Spec
+  module Metrics = Snapcc_analysis.Metrics
+
+  (* the `ccsim mp' step loop, with a fault at [fault_at] *)
+  let digest ?packed h =
+    let buf = Buffer.create (1 lsl 20) in
+    let hub = Tele.Hub.create () in
+    Tele.Hub.add_sink hub (Tele.Sink.jsonl (Buffer.add_string buf));
+    let eng = E.create ~seed:3 ~init:`Random ~vclock:true ~telemetry:hub ?packed h in
+    let workload = Workload.always_requesting h in
+    let spec = Spec.create ~telemetry:hub h ~initial:(E.obs eng) in
+    let metrics = Metrics.create ~telemetry:hub h ~initial:(E.obs eng) in
+    let before = ref (E.obs eng) in
+    for i = 0 to steps - 1 do
+      if i = fault_at then begin
+        E.corrupt eng ~victims:(List.init (max 1 (H.n h / 2)) (fun k -> 2 * k mod H.n h));
+        Spec.on_fault spec (E.obs eng);
+        before := E.obs eng
+      end;
+      let inputs = Workload.inputs workload !before in
+      ignore (E.step eng ~inputs);
+      let after = E.obs eng in
+      Spec.on_step spec ~step:i ~request_out:inputs.Snapcc_runtime.Model.request_out
+        ~before:!before ~after;
+      Metrics.on_step metrics ~step:i ~round:0 ~before:!before ~after;
+      Workload.observe workload ~step:i after;
+      before := after
+    done;
+    Tele.Hub.close hub;
+    Buffer.add_string buf
+      (Format.asprintf "sent=%d delivered=%d in_flight=%d staleness=%d@.%a@.%a@."
+         (E.messages_sent eng) (E.messages_delivered eng) (E.in_flight eng)
+         (E.max_staleness eng) Metrics.pp_summary
+         (Metrics.finish metrics ~step:steps ~round:0)
+         (Snapcc_runtime.Obs.pp_snapshot h) (E.obs eng));
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+end
+
+module Mp_cc1 = Mp_digest (X.Cc1)
+module Mp_cc2 = Mp_digest (X.Cc2)
+module Pk_cc1 =
+  Snapcc_mc.Packed.Make (Snapcc_mc.Systems.Cc1_sys (Snapcc_token.Token_tree) (X.Cc1))
+
 let topologies = [ "ring24"; "fig1"; "line3" ]
 
 let cases () =
@@ -85,7 +139,15 @@ let cases () =
           [ "cc1"; "cc2"; "cc3" ])
       [ ("tree", ""); ("vring", "-vring") ]
   in
-  runs @ vring_runs @ tables
+  let mp_runs =
+    [ ("mp-cc1-ring9", fun () -> Mp_cc1.digest (Families.by_name "ring9"));
+      ("mp-cc2-fig1", fun () -> Mp_cc2.digest (Families.by_name "fig1"));
+      ( "mp-cc1-line3-packed",
+        fun () ->
+          let h = Families.by_name "line3" in
+          Mp_cc1.digest ~packed:(Pk_cc1.hooks (Pk_cc1.build h)) h ) ]
+  in
+  runs @ vring_runs @ mp_runs @ tables
 
 let expected () =
   let ic = open_in "fixtures/golden-digests.txt" in
